@@ -14,9 +14,6 @@ With u_p = int x^2 |rect^p|^2 / int |rect^p|^2 and nu_p = ||(rect^p)'||^2 /
 ||rect^p||^2 (the frequency variance of the sinc^p transform), the product
 U(p) = u_p * nu_p decreases strictly toward the Gaussian floor 1/4 and
 U(2) = 3/10, U(3) = 215/847 exactly.
-
-Scan rows are exact rationals; the integer cores below keep the p <= 64 scan
-fast by clearing denominators once per piece instead of per coefficient.
 """
 from __future__ import annotations
 
@@ -25,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .moments import INF, ExtReal
+from .moments import ExtReal, ext_float, report
 from .piecewise import PiecewisePoly
 from .poly import Polynomial
 
@@ -99,56 +96,6 @@ def rect_p_recursive(p: int) -> PiecewisePoly:
     return _window_integral(rect_p_recursive(p - 1))
 
 
-# -- exact scan -----------------------------------------------------------
-#
-# Degree-63 squares make per-coefficient Fraction arithmetic the bottleneck,
-# so the scan clears every piece to integers over the known denominator
-# (p-1)! * 2^(p-1) (knots are half-integers) and accumulates the integrals
-# as plain integers, normalizing once per row.
-
-
-def _square_int(coeffs: list[int]) -> list[int]:
-    out = [0] * (2 * len(coeffs) - 1) if coeffs else []
-    for i, a in enumerate(coeffs):
-        if a:
-            for j, b in enumerate(coeffs):
-                out[i + j] += a * b
-    return out
-
-
-def _sq_moment_sums(
-    pieces: list[tuple[int, int, list[int]]], top: int, want_m2: bool
-) -> tuple[int, int, int]:
-    """Accumulate int_a^b P^2 and optionally int_a^b x^2 P^2 over pieces.
-
-    Each piece is (2a, 2b, integer coefficients); `top` bounds the x-power
-    appearing, so everything lives over the denominator L * 2^top with
-    L = lcm(1..top).  Returns (sum0, sum2, common denominator).
-    """
-    L = math.lcm(*range(1, top + 1))
-    sum0 = 0
-    sum2 = 0
-    pow_cache: dict[int, list[int]] = {}
-
-    def powers(i2x: int) -> list[int]:
-        if i2x not in pow_cache:
-            ps = [1] * (top + 1)
-            for t in range(1, top + 1):
-                ps[t] = ps[t - 1] * i2x
-            pow_cache[i2x] = ps
-        return pow_cache[i2x]
-
-    for ia2, ib2, sq in pieces:
-        pa, pb = powers(ia2), powers(ib2)
-        for j, m in enumerate(sq):
-            if not m:
-                continue
-            sum0 += m * (L // (j + 1)) * (pb[j + 1] - pa[j + 1]) * (1 << (top - j - 1))
-            if want_m2:
-                sum2 += m * (L // (j + 3)) * (pb[j + 3] - pa[j + 3]) * (1 << (top - j - 3))
-    return sum0, sum2, L
-
-
 @dataclass(frozen=True)
 class ScanRow:
     p: int
@@ -158,35 +105,14 @@ class ScanRow:
     uncertainty_float: float
 
 
-def _as_int(x: Fraction) -> int:
-    if x.denominator != 1:
-        raise AssertionError(f"expected an integer, got {x}")
-    return x.numerator
-
-
 def scan_row(p: int) -> ScanRow:
-    """Exact u_p, nu_p and their product for one member (p >= 2 finite)."""
-    f = rect_p_explicit(p)
-    den = math.factorial(p - 1) * (1 << (p - 1))
-    squares = []
-    dsquares = []
-    for a, b, piece in f.intervals():
-        ints = [_as_int(c * den) for c in piece.coeffs]
-        ia2, ib2 = _as_int(2 * a), _as_int(2 * b)
-        squares.append((ia2, ib2, _square_int(ints)))
-        dints = [k * c for k, c in enumerate(ints)][1:]
-        dsquares.append((ia2, ib2, _square_int(dints)))
-    top = 2 * p + 1  # highest power is x^2 * x^(2p-2), integrated once
-    s0, s2, L = _sq_moment_sums(squares, top, want_m2=True)
-    n0 = Fraction(s0, den * den * L << top)
-    n2 = Fraction(s2, den * den * L << top)
-    u_p = n2 / n0
-    if p == 1:
-        return ScanRow(p, u_p, INF, INF, math.inf)
-    d0, _, Ld = _sq_moment_sums(dsquares, top, want_m2=False)
-    nu_p = Fraction(d0, den * den * Ld << top) / n0
-    u = u_p * nu_p
-    return ScanRow(p, u_p, nu_p, u, float(u))
+    """Exact u_p, nu_p and their product for one member (p >= 2 finite).
+
+    rect^p is even, so its barycenter is 0 and u_p is its sigma_x2.
+    """
+    rep = report(rect_p_explicit(p), classify=False)
+    return ScanRow(p, rep.sigma_x2, rep.sigma_w2, rep.uncertainty,
+                   ext_float(rep.uncertainty))
 
 
 @lru_cache(maxsize=8)

@@ -119,20 +119,20 @@ class MomentsReport:
 
 
 def norm_sq(f: PiecewisePoly) -> Fraction:
-    n = f.moment(0, squared=True)
+    n = f.square_moments[0]
     if n == 0:
         raise ZeroFunctionError("function has zero L2 norm")
     return n
 
 
 def alpha(f: PiecewisePoly) -> Fraction:
-    return f.moment(1, squared=True) / norm_sq(f)
+    return f.square_moments[1] / norm_sq(f)
 
 
 def sigma_x2(f: PiecewisePoly) -> Fraction:
     n = norm_sq(f)
-    a = f.moment(1, squared=True) / n
-    return f.moment(2, squared=True) / n - a * a
+    a = f.square_moments[1] / n
+    return f.square_moments[2] / n - a * a
 
 
 def _h1_obstructions(f: PiecewisePoly, class_tol: float) -> bool:
@@ -153,7 +153,7 @@ def sigma_w2(f: PiecewisePoly, class_tol: float = 0.0) -> ExtReal:
     n = norm_sq(f)
     if _h1_obstructions(f, class_tol):
         return INF
-    return f._formal_derivative().moment(0, squared=True) / n
+    return f.square_moments[3] / n
 
 
 def uncertainty(f: PiecewisePoly, class_tol: float = 0.0) -> ExtReal:
@@ -167,13 +167,11 @@ def uncertainty(f: PiecewisePoly, class_tol: float = 0.0) -> ExtReal:
 def report(
     f: PiecewisePoly, class_tol: float = 0.0, classify: bool = True
 ) -> MomentsReport:
-    n = norm_sq(f)
-    a = f.moment(1, squared=True) / n
-    sx = f.moment(2, squared=True) / n - a * a
+    sx = sigma_x2(f)
     sw = sigma_w2(f, class_tol)
     return MomentsReport(
-        norm_sq=n,
-        alpha=a,
+        norm_sq=norm_sq(f),
+        alpha=alpha(f),
         beta_coeff=Fraction(0),
         sigma_x2=sx,
         sigma_w2=sw,

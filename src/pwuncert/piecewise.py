@@ -1,19 +1,26 @@
 """Compactly supported piecewise polynomials on half-open rational intervals.
 
 A function is a list of polynomial pieces over strictly increasing
-breakpoints b_0 < b_1 < ... < b_n: piece i applies on [b_i, b_{i+1}), the
-final breakpoint is closed (f(b_n) taken as the last piece's left limit), and
-the function vanishes outside [b_0, b_n].  Constructors always canonicalize:
-identical adjacent pieces are merged and zero pieces at either edge are
-trimmed, so structural equality of canonical forms is function equality.
+breakpoints b_0 < b_1 < ... < b_n: piece i applies on [b_i, b_{i+1}).
+Evaluation is half-open on the whole support [b_0, b_n): f(b_n) = 0, which
+keeps point evaluation linear however the pieces are laid out.  Constructors
+always canonicalize: identical adjacent pieces are merged and zero pieces at
+either edge are trimmed, so structural equality of canonical forms is
+function equality.
+
+The four integrals behind every moment, int f^2, int x f^2, int x^2 f^2 and
+int f'^2, are computed once per function (`square_moments`) by one exact
+integer kernel, which also serves `moment`.
 """
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable
+from functools import cached_property
+from typing import Iterable, Sequence
 
 from .poly import ZERO, Polynomial, RationalLike, rat, rat_str
 
@@ -123,10 +130,8 @@ class PiecewisePoly:
     def __call__(self, x: RationalLike) -> Fraction:
         x = rat(x)
         lo, hi = self.support
-        if x < lo or x > hi:
+        if x < lo or x >= hi:
             return Fraction(0)
-        if x == hi:
-            return self.pieces[-1](hi)
         # linear scan is fine: piece counts stay small (<= ~130)
         for a, b, p in self.intervals():
             if a <= x < b:
@@ -259,11 +264,19 @@ class PiecewisePoly:
         """Exact integral of x^k * f(x) (or x^k * f(x)^2)."""
         if k < 0:
             raise ValueError("moment order must be >= 0")
-        total = Fraction(0)
-        for a, b, p in self.intervals():
-            q = p * p if squared else p
-            total += q.shift_up(k).integrate(a, b)
-        return total
+        return _power_integrals(self.breakpoints, self.pieces, squared, (k,))[0]
+
+    @cached_property
+    def square_moments(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+        """(N, M1, M2, D): int f^2, int x f^2, int x^2 f^2 and int f'^2.
+
+        f' is taken piece by piece (jumps contribute nothing).  Computed on
+        first use and kept with the function, so each piece is squared once.
+        """
+        n, m1, m2 = _power_integrals(self.breakpoints, self.pieces, True, (0, 1, 2))
+        derivs = [p.derivative() for p in self.pieces]
+        (d,) = _power_integrals(self.breakpoints, derivs, True, (0,))
+        return n, m1, m2, d
 
     # -- classification ---------------------------------------------------
 
@@ -335,6 +348,62 @@ class PiecewisePoly:
             f"[{a},{b}): {p!r}" for a, b, p in self.intervals()
         )
         return f"PiecewisePoly({parts})"
+
+
+def _cleared(p: Polynomial, squared: bool) -> tuple[list[int], int]:
+    """Integer coefficients c and denominator q with p (or p^2) = c / q."""
+    den = math.lcm(*(c.denominator for c in p.coeffs))
+    ints = [c.numerator * (den // c.denominator) for c in p.coeffs]
+    if not squared:
+        return ints, den
+    sq = [0] * (2 * len(ints) - 1) if ints else []
+    for i, a in enumerate(ints):
+        if a:
+            for j, b in enumerate(ints):
+                sq[i + j] += a * b
+    return sq, den * den
+
+
+def _power_integrals(
+    breakpoints: Sequence[Fraction],
+    pieces: Sequence[Polynomial],
+    squared: bool,
+    orders: Sequence[int],
+) -> list[Fraction]:
+    """Sum over pieces of int_{b_i}^{b_(i+1)} x^k q_i(x) dx, for each k in
+    `orders`, where q_i is piece i (or its square).
+
+    Pieces are cleared to integers over their own denominators, breakpoints
+    to integers B_i over their common denominator E.  With t = j + k + 1 the
+    term of coefficient j is (B_(i+1)^t - B_i^t) / (t E^t); over the shared
+    denominator L * E^top, L = lcm(1..top), every term is an integer, so each
+    integral ends in a single Fraction.
+    """
+    cleared = [_cleared(p, squared) for p in pieces]
+    top = max(len(c) for c, _ in cleared) + max(orders)
+    big_l = math.lcm(*range(1, top + 1))
+    e = math.lcm(*(b.denominator for b in breakpoints))
+    q = math.lcm(*(den for _, den in cleared))
+    e_pow = [1] * (top + 1)
+    for t in range(1, top + 1):
+        e_pow[t] = e_pow[t - 1] * e
+    powers = []  # B_i^t for t = 0..top, shared by the pieces meeting at b_i
+    for b in breakpoints:
+        big_b = b.numerator * (e // b.denominator)
+        ps = [1] * (top + 1)
+        for t in range(1, top + 1):
+            ps[t] = ps[t - 1] * big_b
+        powers.append(ps)
+    sums = [0] * len(orders)
+    for (coeffs, den), pa, pb in zip(cleared, powers, powers[1:]):
+        scale = q // den
+        for i, k in enumerate(orders):
+            s = 0
+            for t, c in enumerate(coeffs, start=k + 1):
+                if c:
+                    s += c * (big_l // t) * (pb[t] - pa[t]) * e_pow[top - t]
+            sums[i] += s * scale
+    return [Fraction(s, q * big_l * e_pow[top]) for s in sums]
 
 
 # Canonical zero function: single zero piece on [0, 1).

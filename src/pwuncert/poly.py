@@ -100,12 +100,6 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def shift_up(self, k: int) -> Polynomial:
-        """Multiply by x**k."""
-        if self.is_zero() or k == 0:
-            return self
-        return Polynomial((Fraction(0),) * k + self.coeffs)
-
     def compose_affine(self, scale: RationalLike, offset: RationalLike) -> Polynomial:
         """Exact composition p(scale*x + offset)."""
         s, r = rat(scale), rat(offset)

@@ -94,8 +94,8 @@ def reflections(f: PiecewisePoly, axis: str = "barycenter") -> ReflectionPair:
     for half in (f_s, f_d):
         if not (half.is_zero() or half.reflect(c) == half):
             raise AssertionError("reflection half is not even about the axis")
-    ns = f_s.moment(0, squared=True)
-    nd = f_d.moment(0, squared=True)
+    ns = f_s.square_moments[0]
+    nd = f_d.square_moments[0]
     return ReflectionPair(f_s, f_d, c, nd / (ns + nd))
 
 
@@ -128,8 +128,8 @@ def even_odd_split(f: PiecewisePoly, *, quad_radius: float = 40.0) -> SplitRepor
     """
     du = f.derivative()
     mirrored = du.reflect(0)
-    ue2 = ((du + mirrored) * _HALF).moment(0, squared=True)
-    uo2 = ((du - mirrored) * _HALF).moment(0, squared=True)
+    ue2 = ((du + mirrored) * _HALF).square_moments[0]
+    uo2 = ((du - mirrored) * _HALF).square_moments[0]
     pair = reflections(f, "origin")
     quad = spectrum.cross_freq_moment_quad(pair.f_s, pair.f_d, radius=quad_radius)
     return SplitReport(ue2, uo2, uo2 - ue2, 2.0 * math.pi * quad.value)

@@ -193,12 +193,9 @@ def _window_product(half: PiecewisePoly, axis: Fraction,
     function's own barycenter).  This is the window convention under which
     the barycentric s-half reference value below is stated.
     """
-    g = half.restrict(lo, hi)
-    n = g.moment(0, squared=True)
-    sx = (g.moment(2, squared=True) - 2 * axis * g.moment(1, squared=True)) / n
-    sx += axis * axis
-    sw = g._formal_derivative().moment(0, squared=True) / n
-    return sx * sw
+    n, m1, m2, d = half.restrict(lo, hi).square_moments
+    sx = (m2 - 2 * axis * m1) / n + axis * axis
+    return sx * d / n
 
 
 def check_cubic_reflections() -> list[CheckResult]:

@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pwuncert.moments import (
     INF,
@@ -21,8 +23,48 @@ from pwuncert.moments import (
     uncertainty,
 )
 from pwuncert.piecewise import FunctionClass, PiecewisePoly, tent
+from pwuncert.poly import ONE, ZERO, X, Polynomial
 
 CUBIC_TOL = 1e-9
+
+# knots straddle 0 and mix denominators (thirds, sevenths, ...)
+knots = st.fractions(min_value=-4, max_value=4, max_denominator=7)
+coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+
+
+@st.composite
+def layouts(draw):
+    n_pieces = draw(st.integers(1, 4))
+    bps = sorted(draw(st.sets(knots, min_size=n_pieces + 1, max_size=n_pieces + 1)))
+    pieces = [Polynomial.of(draw(st.lists(coeffs, max_size=5)))
+              for _ in range(n_pieces)]
+    return PiecewisePoly.from_pieces(bps, pieces)
+
+
+def reference_moment(f, k, squared):
+    return sum(((X ** k) * (p * p if squared else p)).integrate(a, b)
+               for a, b, p in f.intervals())
+
+
+class TestKernel:
+    @given(layouts())
+    @example(PiecewisePoly.from_pieces([0, 1, 2, 3], [ONE, ZERO, ONE]))
+    @example(PiecewisePoly.from_pieces(
+        [-1, "2/7", "1/3"], [Polynomial.of(["1/2", -1]), Polynomial.of(["5/3"])]
+    ))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_polynomial_reference(self, f):
+        for k in range(4):
+            for squared in (False, True):
+                assert f.moment(k, squared) == reference_moment(f, k, squared)
+        d = f._formal_derivative()
+        assert f.square_moments == (
+            reference_moment(f, 0, True),
+            reference_moment(f, 1, True),
+            reference_moment(f, 2, True),
+            reference_moment(d, 0, True),
+        )
+        assert f.square_moments is f.square_moments
 
 
 class TestTentReport:

@@ -83,7 +83,7 @@ class TestEvaluation:
             [0, 1, 2], [Polynomial.of([1]), Polynomial.of([5])]
         )
         assert step(1) == 5   # interior knots belong to the right piece
-        assert step(2) == 5   # the right endpoint belongs to the last piece
+        assert step(2) == 0   # pieces are half-open, the support end included
 
     def test_boundary_values_and_interior_jumps(self):
         step = PiecewisePoly.from_pieces(
@@ -101,6 +101,14 @@ class TestAlgebra:
         assert (f + g)(x) == f(x) + g(x)
         assert (f - g)(x) == f(x) - g(x)
         assert (-f)(x) == -f(x)
+
+    @given(piecewise_functions(), piecewise_functions(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_add_sub_match_pointwise_at_knots(self, f, g, data):
+        knots = sorted(set(f.breakpoints) | set(g.breakpoints))
+        x = data.draw(st.sampled_from(knots))
+        assert (f + g)(x) == f(x) + g(x)
+        assert (f - g)(x) == f(x) - g(x)
 
     @given(piecewise_functions(), piecewise_functions(), rationals)
     @settings(max_examples=60, deadline=None)

@@ -74,10 +74,6 @@ class TestComposition:
         for x in (Fraction(0), Fraction(2, 5)):
             assert comp(x) == p(s * x + r)
 
-    def test_shift_up(self):
-        assert Polynomial.of([1, 1]).shift_up(2) == Polynomial.of([0, 0, 1, 1])
-        assert ZERO.shift_up(3).is_zero()
-
 
 class TestCalculus:
     def test_derivative(self):
