@@ -3,7 +3,10 @@
 The package computes the Heisenberg product U = sigma_x^2 * sigma_w^2 for
 compactly supported piecewise-polynomial functions in exact rational
 arithmetic, with a floating-point spectral module serving as an independent
-cross-check.  See the module docstrings for conventions and derivations:
+cross-check.  ``import pwuncert`` loads the exact route only, which needs
+nothing outside the standard library; numpy and scipy load when
+`pwuncert.spectrum` (or `pwuncert.verify`, which compares the two routes) is
+imported.  See the module docstrings for conventions and derivations:
 
 - `poly`, `piecewise`: exact polynomial and piecewise-polynomial arithmetic
 - `moments`: norms, means, variances, the uncertainty product, atom covariance
@@ -45,28 +48,16 @@ from .symmetry import (
     reflections,
     theorem_bound_check,
 )
-from .spectrum import (
-    DivergentIntegralError,
-    F_sq_integral,
-    atom_freq_mean,
-    fourier_eval,
-    quad_freq_moment,
-    quad_sigma_w2,
-)
-from .verify import CheckResult, run_checks
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AtomParams",
-    "CheckResult",
     "ClassTag",
     "ClassViolationError",
     "DictRow",
     "DictionaryId",
-    "DivergentIntegralError",
     "ExtReal",
-    "F_sq_integral",
     "FunctionClass",
     "INF",
     "JumpDiscontinuityError",
@@ -78,16 +69,12 @@ __all__ = [
     "SupportError",
     "ZeroFunctionError",
     "asymmetric_cubic",
-    "atom_freq_mean",
     "atom_report",
     "corollary_normalize",
     "dict_table",
     "envelope",
     "even_odd_split",
-    "fourier_eval",
     "limit_check",
-    "quad_freq_moment",
-    "quad_sigma_w2",
     "rat",
     "rat_str",
     "rect_p_explicit",
@@ -99,5 +86,4 @@ __all__ = [
     "theorem_bound_check",
     "uncertainty",
     "verify_minimizer",
-    "run_checks",
 ]

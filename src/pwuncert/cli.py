@@ -17,7 +17,9 @@ read from a file argument or, with ``-``, from stdin.  Every exact rational
 in any output is printed as a string that parses back to the identical
 value; float columns use the shortest round-trip representation.  Exit
 codes: 0 on success, 1 when a verification check fails, 2 on usage or
-input errors.
+input errors.  Only ``spectrum-sample`` and ``verify`` import the float
+route, inside their handlers, so the exact subcommands never load numpy or
+scipy.
 """
 
 from __future__ import annotations
@@ -29,9 +31,6 @@ import math
 import sys
 from typing import Sequence
 
-import numpy as np
-
-from . import spectrum, verify
 from .bspline import rect_scan
 from .dictionaries import dict_table
 from .moments import (
@@ -175,6 +174,10 @@ def _cmd_symmetry_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_spectrum_sample(args: argparse.Namespace) -> int:
+    import numpy as np
+
+    from . import spectrum
+
     f = _load_function(args.input)
     if args.count < 2:
         raise InputError("--count must be at least 2")
@@ -191,6 +194,8 @@ def _cmd_spectrum_sample(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from . import verify
+
     results = verify.run_checks(args.filter)
     for res in results:
         print(res.line())

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .poly import ZERO, Polynomial, RationalLike, rat, rat_str
 
@@ -280,28 +280,22 @@ class PiecewisePoly:
 
     # -- classification ---------------------------------------------------
 
-    def _nonneg_on_grid(self, tol: float) -> bool:
+    def _grid_samples(self) -> Iterator[float]:
+        """Each piece evaluated exactly on its dyadic grid, ends included."""
         for a, b, p in self.intervals():
             step = (b - a) / (_GRID_POINTS_PER_PIECE - 1)
             for i in range(_GRID_POINTS_PER_PIECE):
-                if float(p(a + i * step)) < -tol:
-                    return False
-        return True
+                yield float(p(a + i * step))
+
+    def _nonneg_on_grid(self, tol: float) -> bool:
+        return all(v >= -tol for v in self._grid_samples())
 
     def _even_about_midpoint(self, tol: float) -> bool:
         lo, hi = self.support
         mirrored = self.reflect((lo + hi) / 2)
         if tol == 0:
             return self == mirrored
-        diff = self - mirrored
-        if diff.is_zero():
-            return True
-        worst = 0.0
-        for a, b, p in diff.intervals():
-            step = (b - a) / (_GRID_POINTS_PER_PIECE - 1)
-            for i in range(_GRID_POINTS_PER_PIECE):
-                worst = max(worst, abs(float(p(a + i * step))))
-        return worst <= tol
+        return all(abs(v) <= tol for v in (self - mirrored)._grid_samples())
 
     def classify(self, tol: float = 0.0) -> ClassTag:
         """Most specific class tag; `tol > 0` relaxes the jump, boundary-zero
@@ -335,6 +329,11 @@ class PiecewisePoly:
             pieces = obj["pieces"]
         except (KeyError, TypeError) as exc:
             raise SupportError(f"descriptor missing field: {exc}") from exc
+        # a JSON string is iterable too, and would be read digit by digit
+        if not (isinstance(bps, list) and isinstance(pieces, list)
+                and all(isinstance(p, list) for p in pieces)):
+            raise SupportError(
+                "descriptor breakpoints, pieces and each piece must be lists")
         return PiecewisePoly.from_pieces(
             bps, [Polynomial.from_strings(p) for p in pieces]
         )

@@ -397,7 +397,7 @@ def cross_freq_moment_quad(fs: PiecewisePoly, fd: PiecewisePoly, *,
 
 
 # ---------------------------------------------------------------------------
-# half-profile transforms of the two wavelet-bank envelopes
+# half-profile transform of the G-family envelope
 # ---------------------------------------------------------------------------
 
 
@@ -411,23 +411,9 @@ def _g_half_profile(n: int) -> PiecewisePoly:
     return PiecewisePoly.single(Fraction(0), Fraction(1), poly)
 
 
-@lru_cache(maxsize=64)
-def _f_half_profile(n: int) -> PiecewisePoly:
-    # 1 - y^n on [0, 1]
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[0] = Fraction(1)
-    coeffs[n] = Fraction(-1)
-    return PiecewisePoly.single(Fraction(0), Fraction(1), Polynomial.of(coeffs))
-
-
 def F_n_eval(n: int, eta):
     """``F_n(eta) = int_0^1 (1 - y)^n cos(eta y) dy`` (scalar or array eta)."""
     return fourier_eval(_g_half_profile(n), eta).real
-
-
-def H_n_eval(n: int, eta):
-    """``H_n(eta) = int_0^1 (1 - y^n) cos(eta y) dy`` (scalar or array eta)."""
-    return fourier_eval(_f_half_profile(n), eta).real
 
 
 def F_sq_integral(n: int, *, radius: float = 60.0, rtol: float = 1e-9,

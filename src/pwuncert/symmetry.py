@@ -27,14 +27,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from . import spectrum
 from .moments import ExtReal, ZeroFunctionError, ext_float, report
 from .moments import alpha as barycenter
 from .piecewise import FunctionClass, PiecewisePoly
 from .poly import Polynomial, RationalLike, rat
 
 __all__ = [
-    "Axis",
     "BoundReport",
     "ClassViolationError",
     "ReflectionPair",
@@ -46,8 +44,6 @@ __all__ = [
     "reflections",
     "theorem_bound_check",
 ]
-
-Axis = ("origin", "barycenter")
 
 _HALF = Fraction(1, 2)
 
@@ -105,18 +101,15 @@ class SplitReport:
 
     ``cross_term_exact`` is the exact coefficient of ``2*pi`` in
     ``int w^2 fhat_s(w) fhat_d(w) dw`` for the origin halves, and equals
-    ``u_odd_norm_sq - u_even_norm_sq``; ``cross_term_quad`` is the full
-    integral (factor ``2*pi`` included) recomputed by frequency-side
-    quadrature with no shared code path.
+    ``u_odd_norm_sq - u_even_norm_sq``.
     """
 
     u_even_norm_sq: Fraction
     u_odd_norm_sq: Fraction
     cross_term_exact: Fraction
-    cross_term_quad: float
 
 
-def even_odd_split(f: PiecewisePoly, *, quad_radius: float = 40.0) -> SplitReport:
+def even_odd_split(f: PiecewisePoly) -> SplitReport:
     """Split u = f' into even/odd parts about 0 and report their balance.
 
     The origin halves satisfy ``f_s'(x) f_d'(x) = -u(x) u(-x)`` almost
@@ -130,9 +123,7 @@ def even_odd_split(f: PiecewisePoly, *, quad_radius: float = 40.0) -> SplitRepor
     mirrored = du.reflect(0)
     ue2 = ((du + mirrored) * _HALF).square_moments[0]
     uo2 = ((du - mirrored) * _HALF).square_moments[0]
-    pair = reflections(f, "origin")
-    quad = spectrum.cross_freq_moment_quad(pair.f_s, pair.f_d, radius=quad_radius)
-    return SplitReport(ue2, uo2, uo2 - ue2, 2.0 * math.pi * quad.value)
+    return SplitReport(ue2, uo2, uo2 - ue2)
 
 
 @dataclass(frozen=True)

@@ -62,10 +62,15 @@ class TestMoments:
 class TestErrorPaths:
     def test_malformed_descriptor(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
-        path.write_text('{"breakpoints": ["0", "1"]}')
-        code, _, err = run(capsys, "moments", str(path))
-        assert code == 2
-        assert "descriptor" in err
+        for text in (
+            '{"breakpoints": ["0", "1"]}',
+            '{"breakpoints": ["0", "1"], "pieces": ["12"]}',
+            '{"breakpoints": "01", "pieces": [["1"]]}',
+        ):
+            path.write_text(text)
+            code, _, err = run(capsys, "moments", str(path))
+            assert code == 2
+            assert "descriptor" in err
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "moments", "/nonexistent/f.json")

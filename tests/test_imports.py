@@ -1,5 +1,7 @@
 """The exact modules import only the standard library and each other."""
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -7,7 +9,8 @@ import pytest
 
 import pwuncert
 
-EXACT_MODULES = ("poly", "piecewise", "moments", "bspline", "dictionaries")
+EXACT_MODULES = ("poly", "piecewise", "moments", "bspline", "dictionaries",
+                 "symmetry")
 
 
 def imported_modules(name):
@@ -31,3 +34,16 @@ def test_exact_module_imports_stdlib_and_exact_modules_only(name):
             assert module[1:] in EXACT_MODULES, f"{name} imports {module}"
         else:
             assert module in sys.stdlib_module_names, f"{name} imports {module}"
+
+
+def test_exact_route_loads_no_numpy_or_scipy(tent_file):
+    script = (
+        "import sys, pwuncert, pwuncert.cli\n"
+        f"assert pwuncert.cli.main(['moments', {tent_file!r}]) == 0\n"
+        "loaded = sorted({'numpy', 'scipy'} & set(sys.modules))\n"
+        "assert not loaded, f'loaded {loaded}'\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(pwuncert.__file__).parent.parent)}
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr

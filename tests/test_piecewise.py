@@ -228,8 +228,13 @@ class TestSerialization:
             assert PiecewisePoly.from_json(json.dumps(f.to_json_dict())) == f
 
     def test_descriptor_missing_field(self):
-        with pytest.raises(SupportError):
-            PiecewisePoly.from_json('{"breakpoints": ["0", "1"]}')
+        for text in (
+            '{"breakpoints": ["0", "1"]}',
+            '{"breakpoints": ["0", "1"], "pieces": ["12"]}',
+            '{"breakpoints": "01", "pieces": [["1"]]}',
+        ):
+            with pytest.raises(SupportError):
+                PiecewisePoly.from_json(text)
 
     def test_descriptor_bad_rational(self):
         with pytest.raises(ValueError):

@@ -9,7 +9,7 @@ from pwuncert.bspline import rect_p_explicit
 from pwuncert.dictionaries import DictionaryId, envelope
 from pwuncert.moments import AtomParams, report
 from pwuncert.piecewise import tent
-from pwuncert.symmetry import asymmetric_cubic
+from pwuncert.symmetry import asymmetric_cubic, even_odd_split, reflections
 
 # straddles the series/partial-integration switchover on the unit pieces
 GRID = np.array([-20.0, -5.0, -0.51, -0.49, 0.0, 1e-8, 0.3, 5.0, 20.0])
@@ -93,6 +93,15 @@ class TestFrequencyMoments:
         got = spectrum.cross_freq_moment_quad(f, g)
         assert got.value == pytest.approx(float(exact), rel=1e-8)
 
+    @pytest.mark.parametrize("f,rel", [(tent(), 1e-6), (asymmetric_cubic(), 1e-3)])
+    def test_cross_moment_of_origin_halves(self, f, rel):
+        # the mixed moment of the origin halves is the odd-minus-even
+        # derivative energy that even_odd_split computes exactly
+        pair = reflections(f, "origin")
+        got = spectrum.cross_freq_moment_quad(pair.f_s, pair.f_d)
+        assert got.value == pytest.approx(
+            float(even_odd_split(f).cross_term_exact), rel=rel)
+
 
 class TestHalfProfiles:
     @pytest.mark.parametrize("n", range(1, 6))
@@ -105,11 +114,6 @@ class TestHalfProfiles:
         # half-profile normalization used here gives 2 / pi^2 at eta = pi
         assert spectrum.F_n_eval(1, math.pi) == pytest.approx(
             2.0 / math.pi**2, rel=1e-12)
-
-    def test_h1_equals_f1(self):
-        for eta in (0.3, 1.0, 7.5):
-            assert spectrum.H_n_eval(1, eta) == pytest.approx(
-                spectrum.F_n_eval(1, eta), rel=1e-12)
 
 
 class TestAtomFrequencyMean:

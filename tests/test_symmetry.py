@@ -1,4 +1,3 @@
-import math
 import random
 from fractions import Fraction
 
@@ -59,7 +58,6 @@ class TestEvenOddSplit:
         assert rep.u_even_norm_sq == 0
         assert rep.u_odd_norm_sq == 2  # ||f'||^2 of the tent
         assert rep.cross_term_exact == 2
-        assert rep.cross_term_quad == pytest.approx(4 * math.pi, rel=1e-6)
 
     def test_cubic_balance(self, cubic):
         rep = even_odd_split(cubic)
@@ -67,8 +65,6 @@ class TestEvenOddSplit:
         assert float(rep.u_odd_norm_sq) == pytest.approx(0.433013302, abs=1e-6)
         assert float(rep.cross_term_exact) == pytest.approx(
             -0.2428727825546161, abs=1e-12)
-        assert rep.cross_term_quad == pytest.approx(
-            2 * math.pi * float(rep.cross_term_exact), rel=1e-3)
 
     def test_energy_decomposes_exactly(self, cubic):
         rep = even_odd_split(cubic)
