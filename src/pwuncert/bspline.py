@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .moments import ExtReal, ext_float, report
+from .moments import ExtReal, report
 from .piecewise import PiecewisePoly
 from .poly import Polynomial
 
@@ -51,39 +51,23 @@ def rect_p_explicit(p: int) -> PiecewisePoly:
 
 
 def _window_integral(f: PiecewisePoly) -> PiecewisePoly:
-    """g(x) = int_{x-1/2}^{x+1/2} f(s) ds for compactly supported f."""
-    lo, hi = f.support
-    # antiderivative pieces A_i with A(lo) = 0, plus total mass beyond hi
-    prefix = Fraction(0)
-    anti: list[tuple[Fraction, Fraction, Polynomial]] = []
+    """g(x) = int_{x-1/2}^{x+1/2} f(s) ds for compactly supported f.
+
+    With B the antiderivative of f on f's own pieces (continuous, B(lo) = 0,
+    zero outside [lo, hi)) and m the total mass, the antiderivative on the
+    whole line is B + m * [x >= hi], so g(x) = B(x + 1/2) - B(x - 1/2) + m
+    on [hi - 1/2, hi + 1/2).
+    """
+    mass = Fraction(0)
+    anti = []
     for a, b, piece in f.intervals():
         ap = piece.antiderivative()
-        anti.append((a, b, ap + Polynomial.of([prefix - ap(a)])))
-        prefix += ap(b) - ap(a)
-    total = Polynomial.of([prefix])
-    shifted: dict[tuple[int, Fraction], Polynomial] = {}
-
-    def composed(shift: Fraction, y: Fraction) -> Polynomial:
-        """A(x + shift) as a polynomial valid near the sample point y + shift."""
-        target = y + shift
-        if target < lo:
-            return Polynomial(())
-        if target >= hi:
-            return total
-        for i, (a, b, ap) in enumerate(anti):
-            if a <= target < b:
-                key = (i, shift)
-                if key not in shifted:
-                    shifted[key] = ap.taylor_shift(shift)
-                return shifted[key]
-        raise AssertionError("unreachable")
-
-    cuts = sorted({b - HALF for b in f.breakpoints} | {b + HALF for b in f.breakpoints})
-    pieces = []
-    for a, b in zip(cuts, cuts[1:]):
-        mid = (a + b) / 2
-        pieces.append(composed(HALF, mid) - composed(-HALF, mid))
-    return PiecewisePoly.from_pieces(cuts, pieces)
+        anti.append(ap + Polynomial.of([mass - ap(a)]))
+        mass += ap(b) - ap(a)
+    big_b = PiecewisePoly.from_pieces(f.breakpoints, anti)
+    hi = f.support[1]
+    return (big_b.translate(-HALF) - big_b.translate(HALF)
+            + PiecewisePoly.single(hi - HALF, hi + HALF, Polynomial.of([mass])))
 
 
 @lru_cache(maxsize=None)
@@ -112,7 +96,7 @@ def scan_row(p: int) -> ScanRow:
     """
     rep = report(rect_p_explicit(p), classify=False)
     return ScanRow(p, rep.sigma_x2, rep.sigma_w2, rep.uncertainty,
-                   ext_float(rep.uncertainty))
+                   float(rep.uncertainty))
 
 
 @lru_cache(maxsize=8)

@@ -276,10 +276,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return args.func(args)
     except (InputError, ZeroFunctionError, ClassViolationError, SupportError,
-            ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ArithmeticError as exc:
+            ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BrokenPipeError:

@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Literal
 
 from . import moments
-from .moments import INF, ExtReal, ext_float, is_finite
+from .moments import INF, ExtReal, is_finite
 from .piecewise import PiecewisePoly
 from .poly import Polynomial
 
@@ -122,7 +122,7 @@ def row(ident: DictionaryId) -> DictRow:
         raise ClosedFormMismatch(
             f"({ident.family},{ident.n}): prefactor^2 * ||shape||^2 != 1"
         )
-    return DictRow(ident.family, ident.n, sx, sw, u, ext_float(u))
+    return DictRow(ident.family, ident.n, sx, sw, u, float(u))
 
 
 def dict_table(family: Family, n_max: int) -> list[DictRow]:

@@ -58,10 +58,6 @@ def ext_str(value: ExtReal) -> str:
     return rat_str(value) if is_finite(value) else "inf"
 
 
-def ext_float(value: ExtReal) -> float:
-    return float(value)
-
-
 def ext_json_float(value: ExtReal) -> float | None:
     """Float for JSON payloads: None (-> null) when the value is inf, since
     strict JSON has no Infinity literal; the paired string field says "inf"."""

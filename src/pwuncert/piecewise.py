@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -127,16 +128,14 @@ class PiecewisePoly:
             for a, b, p in zip(self.breakpoints, self.breakpoints[1:], self.pieces)
         ]
 
+    def _piece_at(self, x: Fraction) -> Polynomial:
+        """Piece applying at x, ZERO outside the support [b_0, b_n)."""
+        i = bisect_right(self.breakpoints, x) - 1
+        return self.pieces[i] if 0 <= i < len(self.pieces) else ZERO
+
     def __call__(self, x: RationalLike) -> Fraction:
         x = rat(x)
-        lo, hi = self.support
-        if x < lo or x >= hi:
-            return Fraction(0)
-        # linear scan is fine: piece counts stay small (<= ~130)
-        for a, b, p in self.intervals():
-            if a <= x < b:
-                return p(x)
-        raise AssertionError("unreachable")
+        return self._piece_at(x)(x)
 
     def boundary_values(self) -> tuple[Fraction, Fraction]:
         lo, hi = self.support
@@ -154,24 +153,13 @@ class PiecewisePoly:
 
     # -- algebra ----------------------------------------------------------
 
-    def _piece_at(self, a: Fraction, b: Fraction) -> Polynomial:
-        """Piece applying on (a, b), zero if outside the support."""
-        mid_twice = a + b
-        for lo, hi, p in self.intervals():
-            if 2 * lo <= mid_twice < 2 * hi:
-                return p
-        return ZERO
-
     def __add__(self, other: PiecewisePoly) -> PiecewisePoly:
         if self.is_zero():
             return other
         if other.is_zero():
             return self
         bps = sorted(set(self.breakpoints) | set(other.breakpoints))
-        pieces = [
-            self._piece_at(a, b) + other._piece_at(a, b)
-            for a, b in zip(bps, bps[1:])
-        ]
+        pieces = [self._piece_at(a) + other._piece_at(a) for a in bps[:-1]]
         return PiecewisePoly.from_pieces(bps, pieces)
 
     def __neg__(self) -> PiecewisePoly:
@@ -198,10 +186,7 @@ class PiecewisePoly:
             | {b for b in other.breakpoints if lo <= b <= hi}
             | {lo, hi}
         )
-        pieces = [
-            self._piece_at(a, b) * other._piece_at(a, b)
-            for a, b in zip(cuts, cuts[1:])
-        ]
+        pieces = [self._piece_at(a) * other._piece_at(a) for a in cuts[:-1]]
         return PiecewisePoly.from_pieces(cuts, pieces)
 
     __rmul__ = __mul__
@@ -242,7 +227,7 @@ class PiecewisePoly:
         if not lo < hi:
             return _ZERO_FN
         cuts = sorted({b for b in self.breakpoints if lo <= b <= hi} | {lo, hi})
-        pieces = [self._piece_at(a, b) for a, b in zip(cuts, cuts[1:])]
+        pieces = [self._piece_at(a) for a in cuts[:-1]]
         return PiecewisePoly.from_pieces(cuts, pieces)
 
     def derivative(self) -> PiecewisePoly:

@@ -86,6 +86,8 @@ class Polynomial:
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 return Polynomial(())
+            if other == 1:
+                return self
             return Polynomial(tuple(c * other for c in self.coeffs))
         if not isinstance(other, Polynomial):
             return NotImplemented
@@ -101,21 +103,20 @@ class Polynomial:
     __rmul__ = __mul__
 
     def compose_affine(self, scale: RationalLike, offset: RationalLike) -> Polynomial:
-        """Exact composition p(scale*x + offset)."""
-        s, r = rat(scale), rat(offset)
+        """Exact composition p(scale*x + offset): q = p(x + offset), then
+        coefficient k of q times scale**k (scale 0 leaves the constant p(offset))."""
+        s = rat(scale)
+        shifted = self.taylor_shift(offset)
         if s == 1:
-            return self.taylor_shift(r)
-        lin = Polynomial.of([r, s])
-        acc = Polynomial(())
-        for c in reversed(self.coeffs):
-            acc = acc * lin + Polynomial.of([c])
-        return acc
+            return shifted
+        return Polynomial.of(c * s**k for k, c in enumerate(shifted.coeffs))
 
     def taylor_shift(self, offset: RationalLike) -> Polynomial:
         """p(x + offset) by binomial convolution over cleared denominators.
 
-        Equivalent to compose_affine(1, offset) but runs on plain integers,
-        which matters for the degree-63 pieces in the spline recursion.
+        The one change-of-variable kernel (compose_affine builds on it); it
+        runs on plain integers, which matters for the degree-63 pieces in the
+        spline recursion.
         """
         r = rat(offset)
         if r == 0 or self.is_zero():

@@ -1,8 +1,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pwuncert.bspline import (
+    HALF,
+    _window_integral,
     limit_check,
     rect_p_explicit,
     rect_p_recursive,
@@ -10,7 +14,23 @@ from pwuncert.bspline import (
     scan_row,
 )
 from pwuncert.moments import report
-from pwuncert.piecewise import tent
+from pwuncert.piecewise import PiecewisePoly, tent
+from pwuncert.poly import Polynomial
+
+rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+
+
+@st.composite
+def piecewise_functions(draw):
+    """Small random piecewise polynomials (possibly discontinuous or negative)."""
+    n_pieces = draw(st.integers(1, 3))
+    bps = sorted(draw(st.sets(rationals, min_size=n_pieces + 1,
+                              max_size=n_pieces + 1)))
+    pieces = [
+        Polynomial.of(draw(st.lists(rationals, max_size=3)))
+        for _ in range(n_pieces)
+    ]
+    return PiecewisePoly.from_pieces(bps, pieces)
 
 
 class TestConstruction:
@@ -49,6 +69,17 @@ class TestConstruction:
             rect_p_explicit(0)
         with pytest.raises(ValueError):
             rect_p_recursive(0)
+
+
+class TestWindow:
+    @given(piecewise_functions(), rationals)
+    @settings(max_examples=60, deadline=None)
+    def test_window_integral_matches_restricted_mass(self, f, x):
+        # the reference integrates through the moment kernel, not a shift
+        g = _window_integral(f)
+        knots = {b + s for b in f.breakpoints for s in (-HALF, HALF)}
+        for y in {x} | knots:
+            assert g(y) == f.restrict(y - HALF, y + HALF).moment(0)
 
 
 class TestScan:

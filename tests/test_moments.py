@@ -11,7 +11,6 @@ from pwuncert.moments import (
     ZeroFunctionError,
     alpha,
     atom_report,
-    ext_float,
     ext_json_float,
     ext_mul,
     ext_str,
@@ -179,7 +178,6 @@ class TestGuards:
     def test_ext_helpers(self):
         assert ext_str(Fraction(1, 3)) == "1/3"
         assert ext_str(INF) == "inf"
-        assert ext_float(Fraction(1, 2)) == 0.5
         assert ext_json_float(INF) is None
         assert ext_mul(Fraction(2), INF) == INF
         with pytest.raises(ArithmeticError):

@@ -160,6 +160,15 @@ class TestTransforms:
         assert f(Fraction(-3, 4)) == 0
         assert f(Fraction(1, 2)) == Fraction(1, 2)
 
+    @given(piecewise_functions(), st.sets(rationals, min_size=2, max_size=2),
+           rationals)
+    @settings(max_examples=60, deadline=None)
+    def test_restrict_matches_pointwise(self, f, window, x):
+        lo, hi = sorted(window)
+        r = f.restrict(lo, hi)
+        for y in {x, lo, hi, *f.breakpoints}:
+            assert r(y) == (f(y) if lo <= y < hi else 0)
+
     def test_restrict_empty_overlap_gives_zero(self):
         assert tent().restrict(3, 4).is_zero()
 
