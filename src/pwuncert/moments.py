@@ -134,9 +134,10 @@ def sigma_x2(f: PiecewisePoly) -> Fraction:
 def _h1_obstructions(f: PiecewisePoly, class_tol: float) -> bool:
     """True when the finiteness criterion fails: an interior jump or a
     nonzero boundary value (each compared against class_tol)."""
-    if any(abs(float(j)) > class_tol for _, j in f.interior_jumps()):
+    jumps, boundary = f.knot_evidence
+    if any(abs(float(j)) > class_tol for _, j in jumps):
         return True
-    return any(abs(float(v)) > class_tol for v in f.boundary_values())
+    return any(abs(float(v)) > class_tol for v in boundary)
 
 
 def sigma_w2(f: PiecewisePoly, class_tol: float = 0.0) -> ExtReal:

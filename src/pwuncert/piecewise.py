@@ -137,19 +137,32 @@ class PiecewisePoly:
         x = rat(x)
         return self._piece_at(x)(x)
 
-    def boundary_values(self) -> tuple[Fraction, Fraction]:
-        lo, hi = self.support
-        return self.pieces[0](lo), self.pieces[-1](hi)
+    @cached_property
+    def knot_evidence(
+        self,
+    ) -> tuple[tuple[tuple[Fraction, Fraction], ...], tuple[Fraction, Fraction]]:
+        """(jumps, boundary): (knot, right limit - left limit) at every
+        discontinuous interior knot, and the one-sided values at b_0 and b_n.
 
-    def interior_jumps(self) -> list[tuple[Fraction, Fraction]]:
-        """(knot, right limit - left limit) at every discontinuous interior knot."""
-        out = []
+        This is the finiteness evidence behind `classify`, `derivative` and
+        the frequency variance; it is computed on first use and kept with
+        the function, so each knot is evaluated once.
+        """
+        jumps = []
         for i in range(1, len(self.pieces)):
             knot = self.breakpoints[i]
             jump = self.pieces[i](knot) - self.pieces[i - 1](knot)
             if jump != 0:
-                out.append((knot, jump))
-        return out
+                jumps.append((knot, jump))
+        lo, hi = self.support
+        return tuple(jumps), (self.pieces[0](lo), self.pieces[-1](hi))
+
+    def boundary_values(self) -> tuple[Fraction, Fraction]:
+        return self.knot_evidence[1]
+
+    def interior_jumps(self) -> list[tuple[Fraction, Fraction]]:
+        """(knot, right limit - left limit) at every discontinuous interior knot."""
+        return list(self.knot_evidence[0])
 
     # -- algebra ----------------------------------------------------------
 
@@ -233,7 +246,7 @@ class PiecewisePoly:
     def derivative(self) -> PiecewisePoly:
         """Piecewise derivative; refuses functions with interior jumps,
         where the distributional derivative would pick up delta terms."""
-        jumps = self.interior_jumps()
+        jumps, _ = self.knot_evidence
         if jumps:
             knots = ", ".join(str(k) for k, _ in jumps)
             raise JumpDiscontinuityError(f"interior jump(s) at {knots}")
@@ -266,11 +279,21 @@ class PiecewisePoly:
     # -- classification ---------------------------------------------------
 
     def _grid_samples(self) -> Iterator[float]:
-        """Each piece evaluated exactly on its dyadic grid, ends included."""
+        """Each piece evaluated exactly on its dyadic grid, ends included.
+
+        The grid points are a + i*(b - a)/64 for i = 0..64.  Substituting
+        x = a + t*(b - a)/64 once per piece gives q(t) = ints(t) / den, whose
+        integer coefficients are evaluated at the integers t = 0..64; int
+        true division rounds correctly, so each float is float(p(x)) exactly.
+        """
+        last = _GRID_POINTS_PER_PIECE - 1
         for a, b, p in self.intervals():
-            step = (b - a) / (_GRID_POINTS_PER_PIECE - 1)
-            for i in range(_GRID_POINTS_PER_PIECE):
-                yield float(p(a + i * step))
+            ints, den = p.compose_affine((b - a) / last, a).cleared
+            for t in range(_GRID_POINTS_PER_PIECE):
+                acc = 0
+                for c in reversed(ints):
+                    acc = acc * t + c
+                yield acc / den
 
     def _nonneg_on_grid(self, tol: float) -> bool:
         return all(v >= -tol for v in self._grid_samples())
@@ -286,8 +309,7 @@ class PiecewisePoly:
         """Most specific class tag; `tol > 0` relaxes the jump, boundary-zero
         and evenness tests to that absolute tolerance (for inputs whose
         coefficients carry printed-decimal roundoff)."""
-        jumps = self.interior_jumps()
-        boundary = self.boundary_values()
+        jumps, boundary = self.knot_evidence
         tag = lambda family: ClassTag(family, tuple(k for k, _ in jumps), boundary)
         if any(abs(float(j)) > tol for _, j in jumps):
             return tag(FunctionClass.NONE)
@@ -334,10 +356,9 @@ class PiecewisePoly:
         return f"PiecewisePoly({parts})"
 
 
-def _cleared(p: Polynomial, squared: bool) -> tuple[list[int], int]:
+def _cleared(p: Polynomial, squared: bool) -> tuple[Sequence[int], int]:
     """Integer coefficients c and denominator q with p (or p^2) = c / q."""
-    den = math.lcm(*(c.denominator for c in p.coeffs))
-    ints = [c.numerator * (den // c.denominator) for c in p.coeffs]
+    ints, den = p.cleared
     if not squared:
         return ints, den
     sq = [0] * (2 * len(ints) - 1) if ints else []

@@ -4,6 +4,16 @@ Coefficients are stored low degree first as `fractions.Fraction`, with no
 trailing zeros, so two equal polynomials are structurally equal.  All
 operations are exact; arbitrary-precision integers back the rationals, which
 matters once degrees reach ~130 (squares of high-order spline pieces).
+
+Each polynomial also has one integer-cleared form, `cleared = (ints, den)`
+with p = ints / den.  The exact kernels run on it: point evaluation at a
+rational (homogenised Horner) and the one change-of-variable kernel
+`compose_affine` (a binomial convolution) work on plain integers and build a
+single Fraction per result value, with no gcd inside the loops.  The form
+costs O(degree) to build and is built per call, not kept: a per-instance
+cache adds a dict and two tuples to every polynomial ever evaluated, and in
+workloads that hold many small functions that extra garbage-collector work
+cost more than the cache saved.
 """
 from __future__ import annotations
 
@@ -60,12 +70,34 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.coeffs
 
+    @property
+    def cleared(self) -> tuple[tuple[int, ...], int]:
+        """(ints, den) with p = ints / den: den is the lcm of the coefficient
+        denominators, so ints are the smallest such integers."""
+        pairs = [c.as_integer_ratio() for c in self.coeffs]
+        den = math.lcm(*[d for _, d in pairs])
+        return tuple([n * (den // d) for n, d in pairs]), den
+
     def __call__(self, x):
-        """Horner evaluation; exact for Fraction/int x, float/complex pass through."""
-        acc = 0 * x if not isinstance(x, (int, Fraction)) else Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        """Horner evaluation; exact for Fraction/int x, float/complex pass through.
+
+        At x = n/d the cleared form is evaluated homogenised, on integers:
+        acc = sum_k ints_k n^k d^(deg-k), and p(x) = acc / (den d^deg).
+        """
+        if not isinstance(x, (int, Fraction)):
+            acc = 0 * x
+            for c in reversed(self.coeffs):
+                acc = acc * x + c
+            return acc
+        ints, den = self.cleared
+        if not ints:
+            return Fraction(0)
+        n, d = x.numerator, x.denominator
+        acc, dj = ints[-1], 1
+        for c in reversed(ints[:-1]):
+            dj *= d
+            acc = acc * n + c * dj
+        return Fraction(acc, den * dj)
 
     def __add__(self, other: Polynomial) -> Polynomial:
         a, b = self.coeffs, other.coeffs
@@ -103,42 +135,40 @@ class Polynomial:
     __rmul__ = __mul__
 
     def compose_affine(self, scale: RationalLike, offset: RationalLike) -> Polynomial:
-        """Exact composition p(scale*x + offset): q = p(x + offset), then
-        coefficient k of q times scale**k (scale 0 leaves the constant p(offset))."""
-        s = rat(scale)
-        shifted = self.taylor_shift(offset)
-        if s == 1:
-            return shifted
-        return Polynomial.of(c * s**k for k, c in enumerate(shifted.coeffs))
+        """Exact composition p(scale*x + offset); the one change-of-variable kernel.
 
-    def taylor_shift(self, offset: RationalLike) -> Polynomial:
-        """p(x + offset) by binomial convolution over cleared denominators.
-
-        The one change-of-variable kernel (compose_affine builds on it); it
-        runs on plain integers, which matters for the degree-63 pieces in the
-        spline recursion.
+        With p = ints / den, scale = sn/sd and offset = rn/rd, coefficient m
+        of the result is sn^m S_m / (den sd^m rd^(deg-m)), where the integer
+        S_m = sum_{k>=m} C(k, m) ints_k rn^(k-m) rd^(deg-k).  Each output
+        coefficient is one Fraction; scale 0 leaves the constant p(offset).
         """
-        r = rat(offset)
-        if r == 0 or self.is_zero():
+        s, r = rat(scale), rat(offset)
+        if self.is_zero() or (s == 1 and r == 0):
             return self
+        ints, den = self.cleared
         d = self.degree
-        den = math.lcm(*(c.denominator for c in self.coeffs))
-        ints = [int(c * den) for c in self.coeffs]
+        sn, sd = s.numerator, s.denominator
         rn, rd = r.numerator, r.denominator
-        # powers rn^i and rd^i for i in 0..d
+        # powers rn^i and rd^i for i in 0..d; with offset 0 only k = m counts
         pn = [1] * (d + 1)
         pd = [1] * (d + 1)
         for i in range(1, d + 1):
             pn[i] = pn[i - 1] * rn
             pd[i] = pd[i - 1] * rd
         out = []
+        sn_m, sd_m = 1, 1
         for m in range(d + 1):
-            s = 0
-            for k in range(m, d + 1):
-                s += math.comb(k, m) * ints[k] * pn[k - m] * pd[d - k]
-            # q_m = s / (den * rd^(d - m))
-            out.append(Fraction(s, den * pd[d - m]))
+            acc = 0
+            for k in range(m, d + 1 if rn else m + 1):
+                acc += math.comb(k, m) * ints[k] * pn[k - m] * pd[d - k]
+            out.append(Fraction(sn_m * acc, den * sd_m * pd[d - m]))
+            sn_m *= sn
+            sd_m *= sd
         return Polynomial.of(out)
+
+    def taylor_shift(self, offset: RationalLike) -> Polynomial:
+        """p(x + offset), that is compose_affine(1, offset)."""
+        return self.compose_affine(1, offset)
 
     def derivative(self) -> Polynomial:
         return Polynomial.of(k * c for k, c in enumerate(self.coeffs) if k)

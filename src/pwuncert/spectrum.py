@@ -33,7 +33,6 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import sici
 
 from .piecewise import PiecewisePoly
 from .poly import Polynomial, ZERO
@@ -228,6 +227,10 @@ def _product_terms(ta, tb, k: int, conjugate_second: bool = True):
 
 def _tail_I(radius: float, delta: float, m_max: int) -> list[complex]:
     """``I_M = int_R^inf e^{-i delta w} w^{-M} dw`` for M = 1..m_max."""
+    # imported here: scipy.special adds about 25 MB to every process that
+    # imports this module, and only the quadrature tails need it
+    from scipy.special import sici
+
     vals = [0j] * (m_max + 1)
     if delta == 0.0:
         for m in range(2, m_max + 1):

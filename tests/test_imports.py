@@ -47,3 +47,18 @@ def test_exact_route_loads_no_numpy_or_scipy(tent_file):
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_oracle_imports_scipy_special_on_first_quadrature():
+    script = (
+        "import sys\n"
+        "import pwuncert.spectrum as spectrum\n"
+        "from pwuncert.piecewise import tent\n"
+        "assert 'scipy.special' not in sys.modules, 'loaded at import'\n"
+        "spectrum.quad_sigma_w2(tent())\n"
+        "assert 'scipy.special' in sys.modules, 'not loaded by quadrature'\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(pwuncert.__file__).parent.parent)}
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr

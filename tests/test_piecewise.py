@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -92,6 +93,10 @@ class TestEvaluation:
         assert step.boundary_values() == (Fraction(1), Fraction(5))
         assert step.interior_jumps() == [(Fraction(1), Fraction(4))]
         assert tent().interior_jumps() == []
+        # one immutable record, kept with the function
+        assert step.knot_evidence == (((Fraction(1), Fraction(4)),),
+                                      (Fraction(1), Fraction(5)))
+        assert step.knot_evidence is step.knot_evidence
 
 
 class TestAlgebra:
@@ -229,6 +234,28 @@ class TestClassification:
     def test_tolerance_admits_decimal_roundoff(self, cubic):
         assert cubic.classify().family == FunctionClass.F_SUPP
         assert cubic.classify(1e-9).family == FunctionClass.F_PLUS_ZERO
+
+
+def reference_grid(f):
+    """The 65-point grid of each piece by Fraction arithmetic."""
+    for a, b, p in f.intervals():
+        step = (b - a) / 64
+        for i in range(65):
+            x = a + i * step
+            acc = Fraction(0)
+            for c in reversed(p.coeffs):
+                acc = acc * x + c
+            yield float(acc)
+
+
+class TestGrid:
+    @given(piecewise_functions())
+    @settings(max_examples=80, deadline=None)
+    def test_integer_grid_matches_fraction_grid(self, f):
+        assert list(f._grid_samples()) == list(reference_grid(f))
+        tags = [f.classify(tol) for tol in (0.0, 1e-10)]
+        with mock.patch.object(PiecewisePoly, "_grid_samples", reference_grid):
+            assert [f.classify(tol) for tol in (0.0, 1e-10)] == tags
 
 
 class TestSerialization:

@@ -1,13 +1,26 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pwuncert.poly import ONE, X, ZERO, Polynomial, rat, rat_str
 
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=6)
 polys = st.lists(rationals, max_size=6).map(Polynomial.of)
+points = st.one_of(st.integers(-40, 40),
+                   st.fractions(min_value=-40, max_value=40, max_denominator=60))
+scales = st.one_of(st.fractions(max_value=Fraction(-1, 6), min_value=-8,
+                                max_denominator=6),
+                   st.just(Fraction(0)), st.just(Fraction(1)), rationals)
+
+
+def horner(p, x):
+    """Reference evaluation: Fraction Horner on the stored coefficients."""
+    acc = Fraction(0)
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    return acc
 
 
 class TestConstruction:
@@ -55,6 +68,19 @@ class TestEvaluation:
         assert (-p)(x) == -p(x)
         assert (3 * p)(x) == 3 * p(x)
 
+    @given(polys, points)
+    @settings(max_examples=100, deadline=None)
+    @example(ZERO, Fraction(-7, 3))
+    @example(ZERO, 5)
+    @example(Polynomial.of(["-5/6"]), Fraction(9, 4))
+    @example(Polynomial.of([1, "1/2", "-1/3"]), -3)
+    def test_cleared_evaluation_matches_fraction_horner(self, p, x):
+        ints, den = p.cleared
+        assert Polynomial.of(Fraction(c, den) for c in ints) == p
+        value = p(x)
+        assert isinstance(value, Fraction)
+        assert value == horner(p, x)
+
     def test_scalar_zero_multiplication(self):
         assert (Polynomial.of([1, 2]) * 0).is_zero()
 
@@ -64,15 +90,16 @@ class TestComposition:
     @settings(max_examples=60, deadline=None)
     def test_taylor_shift_matches_pointwise(self, p, c):
         shifted = p.taylor_shift(c)
+        assert shifted == p.compose_affine(1, c)
         for x in (Fraction(0), Fraction(1, 3), Fraction(-5, 2)):
             assert shifted(x) == p(x + c)
 
-    @given(polys, rationals, rationals)
-    @settings(max_examples=60, deadline=None)
+    @given(polys, scales, rationals)
+    @settings(max_examples=100, deadline=None)
     def test_compose_affine_matches_pointwise(self, p, s, r):
         comp = p.compose_affine(s, r)
-        for x in (Fraction(0), Fraction(2, 5)):
-            assert comp(x) == p(s * x + r)
+        for x in (Fraction(0), Fraction(2, 5), Fraction(-7, 3)):
+            assert horner(comp, x) == horner(p, s * x + r)
 
 
 class TestCalculus:
