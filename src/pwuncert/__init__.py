@@ -18,7 +18,7 @@ imported.  See the module docstrings for conventions and derivations:
 - `cli`: the `pwuncert` command-line tool
 """
 
-from .poly import Polynomial, Rational, rat, rat_str
+from .poly import Polynomial, rat, rat_str
 from .piecewise import (
     ClassTag,
     FunctionClass,
@@ -64,7 +64,6 @@ __all__ = [
     "MomentsReport",
     "PiecewisePoly",
     "Polynomial",
-    "Rational",
     "ReflectionPair",
     "SupportError",
     "ZeroFunctionError",

@@ -86,7 +86,6 @@ class ScanRow:
     u_p: Fraction
     nu_p: ExtReal
     uncertainty: ExtReal
-    uncertainty_float: float
 
 
 def scan_row(p: int) -> ScanRow:
@@ -95,8 +94,7 @@ def scan_row(p: int) -> ScanRow:
     rect^p is even, so its barycenter is 0 and u_p is its sigma_x2.
     """
     rep = report(rect_p_explicit(p), classify=False)
-    return ScanRow(p, rep.sigma_x2, rep.sigma_w2, rep.uncertainty,
-                   float(rep.uncertainty))
+    return ScanRow(p, rep.sigma_x2, rep.sigma_w2, rep.uncertainty)
 
 
 @lru_cache(maxsize=8)

@@ -33,14 +33,7 @@ from typing import Sequence
 
 from .bspline import rect_scan
 from .dictionaries import dict_table
-from .moments import (
-    AtomParams,
-    ZeroFunctionError,
-    atom_report,
-    ext_json_float,
-    ext_str,
-    report,
-)
+from .moments import AtomParams, ZeroFunctionError, atom_report, ext_str, json_pairs
 from .piecewise import PiecewisePoly, SupportError
 from .poly import rat, rat_str
 from .symmetry import ClassViolationError, reflections, theorem_bound_check
@@ -88,16 +81,12 @@ def _emit_json(payload: dict) -> None:
 
 def _cmd_moments(args: argparse.Namespace) -> int:
     f = _load_function(args.input)
-    if args.t is not None or args.xi is not None or args.u is not None:
-        params = AtomParams.of(
-            _parse_rat(args.t or "1", "--t"),
-            _parse_rat(args.xi or "0", "--xi"),
-            _parse_rat(args.u or "0", "--u"),
-        )
-        rep = atom_report(f, params, class_tol=args.class_tol)
-    else:
-        rep = report(f, class_tol=args.class_tol)
-    _emit_json(rep.to_json_dict())
+    params = AtomParams.of(
+        _parse_rat(args.t, "--t"),
+        _parse_rat(args.xi, "--xi"),
+        _parse_rat(args.u, "--u"),
+    )
+    _emit_json(atom_report(f, params, class_tol=args.class_tol).to_json_dict())
     return EXIT_OK
 
 
@@ -112,7 +101,7 @@ def _cmd_dict_table(args: argparse.Namespace) -> int:
                 rat_str(r.sigma_x2),
                 ext_str(r.sigma_w2),
                 ext_str(r.uncertainty),
-                repr(r.uncertainty_float),
+                repr(float(r.uncertainty)),
             ]
         )
     return EXIT_OK
@@ -130,7 +119,7 @@ def _cmd_rect_scan(args: argparse.Namespace) -> int:
                 rat_str(r.u_p),
                 rat_str(r.nu_p),
                 rat_str(r.uncertainty),
-                repr(r.uncertainty_float),
+                repr(float(r.uncertainty)),
             ]
         )
     return EXIT_OK
@@ -143,8 +132,7 @@ def _cmd_symmetry_check(args: argparse.Namespace) -> int:
         "axis": args.axis,
         "axis_value": rat_str(pair.axis),
         "axis_float": float(pair.axis),
-        "w": rat_str(pair.w),
-        "w_float": float(pair.w),
+        **json_pairs(w=pair.w),
         "f_s": pair.f_s.to_json_dict(),
         "f_d": pair.f_d.to_json_dict(),
     }
@@ -153,16 +141,9 @@ def _cmd_symmetry_check(args: argparse.Namespace) -> int:
     )
     payload["bound"] = {
         "centered": bound.centered,
-        "axis": rat_str(bound.axis),
-        "axis_float": float(bound.axis),
-        "w": rat_str(bound.w),
-        "w_float": float(bound.w),
-        "uncertainty": ext_str(bound.uncertainty),
-        "uncertainty_float": ext_json_float(bound.uncertainty),
-        "uncertainty_s": ext_str(bound.uncertainty_s),
-        "uncertainty_s_float": ext_json_float(bound.uncertainty_s),
-        "uncertainty_d": ext_str(bound.uncertainty_d),
-        "uncertainty_d_float": ext_json_float(bound.uncertainty_d),
+        **json_pairs(axis=bound.axis, w=bound.w, uncertainty=bound.uncertainty,
+                     uncertainty_s=bound.uncertainty_s,
+                     uncertainty_d=bound.uncertainty_d),
         "cs_rhs": bound.cs_rhs,
         "cs_ok": bound.cs_ok,
         "min_ok": bound.min_ok,
@@ -221,9 +202,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("moments", help="uncertainty report for a descriptor")
     p.add_argument("input", help="descriptor path, or - for stdin")
-    p.add_argument("--t", help="atom scale (rational, > 0)")
-    p.add_argument("--xi", help="atom modulation frequency in units of 2*pi")
-    p.add_argument("--u", help="atom shift (rational)")
+    p.add_argument("--t", default="1", help="atom scale (rational, > 0)")
+    p.add_argument("--xi", default="0",
+                   help="atom modulation frequency in units of 2*pi")
+    p.add_argument("--u", default="0", help="atom shift (rational)")
     p.add_argument("--class-tol", type=float, default=0.0,
                    help="tolerance for boundary-zero / continuity checks")
     p.set_defaults(func=_cmd_moments)

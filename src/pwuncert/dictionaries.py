@@ -60,7 +60,6 @@ class DictRow:
     sigma_x2: Fraction
     sigma_w2: ExtReal
     uncertainty: ExtReal
-    uncertainty_float: float
 
 
 def envelope(ident: DictionaryId) -> PiecewisePoly:
@@ -122,7 +121,7 @@ def row(ident: DictionaryId) -> DictRow:
         raise ClosedFormMismatch(
             f"({ident.family},{ident.n}): prefactor^2 * ||shape||^2 != 1"
         )
-    return DictRow(ident.family, ident.n, sx, sw, u, float(u))
+    return DictRow(ident.family, ident.n, sx, sw, u)
 
 
 def dict_table(family: Family, n_max: int) -> list[DictRow]:

@@ -58,10 +58,14 @@ def ext_str(value: ExtReal) -> str:
     return rat_str(value) if is_finite(value) else "inf"
 
 
-def ext_json_float(value: ExtReal) -> float | None:
-    """Float for JSON payloads: None (-> null) when the value is inf, since
-    strict JSON has no Infinity literal; the paired string field says "inf"."""
-    return float(value) if is_finite(value) else None
+def json_pairs(**values: ExtReal) -> dict:
+    """{name: exact string, name_float: float} for each value, in order;
+    inf gives "inf" and None (-> null): strict JSON has no Infinity literal."""
+    out = {}
+    for name, value in values.items():
+        out[name] = ext_str(value)
+        out[name + "_float"] = float(value) if is_finite(value) else None
+    return out
 
 
 @dataclass(frozen=True)
@@ -92,18 +96,11 @@ class MomentsReport:
 
     def to_json_dict(self) -> dict:
         out = {
-            "norm_sq": rat_str(self.norm_sq),
-            "norm_sq_float": float(self.norm_sq),
-            "alpha": rat_str(self.alpha),
-            "alpha_float": float(self.alpha),
+            **json_pairs(norm_sq=self.norm_sq, alpha=self.alpha),
             "beta_coeff": rat_str(self.beta_coeff),
             "beta_float": 2.0 * math.pi * float(self.beta_coeff),
-            "sigma_x2": rat_str(self.sigma_x2),
-            "sigma_x2_float": float(self.sigma_x2),
-            "sigma_w2": ext_str(self.sigma_w2),
-            "sigma_w2_float": ext_json_float(self.sigma_w2),
-            "uncertainty": ext_str(self.uncertainty),
-            "uncertainty_float": ext_json_float(self.uncertainty),
+            **json_pairs(sigma_x2=self.sigma_x2, sigma_w2=self.sigma_w2,
+                         uncertainty=self.uncertainty),
         }
         if self.class_tag is not None:
             out["class"] = self.class_tag.family.value
@@ -131,15 +128,6 @@ def sigma_x2(f: PiecewisePoly) -> Fraction:
     return f.square_moments[2] / n - a * a
 
 
-def _h1_obstructions(f: PiecewisePoly, class_tol: float) -> bool:
-    """True when the finiteness criterion fails: an interior jump or a
-    nonzero boundary value (each compared against class_tol)."""
-    jumps, boundary = f.knot_evidence
-    if any(abs(float(j)) > class_tol for _, j in jumps):
-        return True
-    return any(abs(float(v)) > class_tol for v in boundary)
-
-
 def sigma_w2(f: PiecewisePoly, class_tol: float = 0.0) -> ExtReal:
     """Exact frequency variance, +inf outside the finite regime.
 
@@ -148,7 +136,7 @@ def sigma_w2(f: PiecewisePoly, class_tol: float = 0.0) -> ExtReal:
     still computed from the exact coefficients as given).
     """
     n = norm_sq(f)
-    if _h1_obstructions(f, class_tol):
+    if any(f.knot_obstructions(class_tol)):
         return INF
     return f.square_moments[3] / n
 

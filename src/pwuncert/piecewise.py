@@ -157,12 +157,13 @@ class PiecewisePoly:
         lo, hi = self.support
         return tuple(jumps), (self.pieces[0](lo), self.pieces[-1](hi))
 
-    def boundary_values(self) -> tuple[Fraction, Fraction]:
-        return self.knot_evidence[1]
-
-    def interior_jumps(self) -> list[tuple[Fraction, Fraction]]:
-        """(knot, right limit - left limit) at every discontinuous interior knot."""
-        return list(self.knot_evidence[0])
+    def knot_obstructions(self, tol: float = 0.0) -> tuple[bool, bool]:
+        """(jump, edge): some interior jump, or some boundary value, exceeds
+        tol in absolute value.  The one knot-tolerance rule: sigma_w2 is
+        finite iff neither holds; `classify` gives NONE iff `jump` holds."""
+        jumps, boundary = self.knot_evidence
+        return (any(abs(float(j)) > tol for _, j in jumps),
+                any(abs(float(v)) > tol for v in boundary))
 
     # -- algebra ----------------------------------------------------------
 
@@ -250,10 +251,6 @@ class PiecewisePoly:
         if jumps:
             knots = ", ".join(str(k) for k, _ in jumps)
             raise JumpDiscontinuityError(f"interior jump(s) at {knots}")
-        return self._formal_derivative()
-
-    def _formal_derivative(self) -> PiecewisePoly:
-        """Derivative of each piece on its own interval, jump checks skipped."""
         return PiecewisePoly.from_pieces(
             self.breakpoints, [p.derivative() for p in self.pieces]
         )
@@ -311,11 +308,12 @@ class PiecewisePoly:
         coefficients carry printed-decimal roundoff)."""
         jumps, boundary = self.knot_evidence
         tag = lambda family: ClassTag(family, tuple(k for k, _ in jumps), boundary)
-        if any(abs(float(j)) > tol for _, j in jumps):
+        jump, edge = self.knot_obstructions(tol)
+        if jump:
             return tag(FunctionClass.NONE)
         if not self._nonneg_on_grid(tol):
             return tag(FunctionClass.F_SUPP)
-        if not all(abs(float(v)) <= tol for v in boundary):
+        if edge:
             return tag(FunctionClass.F_PLUS_SUPP)
         if not self._even_about_midpoint(tol):
             return tag(FunctionClass.F_PLUS_ZERO)
@@ -326,7 +324,7 @@ class PiecewisePoly:
     def to_json_dict(self) -> dict:
         return {
             "breakpoints": [rat_str(b) for b in self.breakpoints],
-            "pieces": [p.to_strings() for p in self.pieces],
+            "pieces": [[rat_str(c) for c in p.coeffs] for p in self.pieces],
         }
 
     @staticmethod
@@ -341,9 +339,7 @@ class PiecewisePoly:
                 and all(isinstance(p, list) for p in pieces)):
             raise SupportError(
                 "descriptor breakpoints, pieces and each piece must be lists")
-        return PiecewisePoly.from_pieces(
-            bps, [Polynomial.from_strings(p) for p in pieces]
-        )
+        return PiecewisePoly.from_pieces(bps, [Polynomial.of(p) for p in pieces])
 
     @staticmethod
     def from_json(text: str) -> PiecewisePoly:

@@ -8,12 +8,12 @@ matters once degrees reach ~130 (squares of high-order spline pieces).
 Each polynomial also has one integer-cleared form, `cleared = (ints, den)`
 with p = ints / den.  The exact kernels run on it: point evaluation at a
 rational (homogenised Horner) and the one change-of-variable kernel
-`compose_affine` (a binomial convolution) work on plain integers and build a
-single Fraction per result value, with no gcd inside the loops.  The form
-costs O(degree) to build and is built per call, not kept: a per-instance
-cache adds a dict and two tuples to every polynomial ever evaluated, and in
-workloads that hold many small functions that extra garbage-collector work
-cost more than the cache saved.
+`compose_affine` (an additive Taylor shift: integer additions only) work on
+plain integers and build a single Fraction per result value, with no gcd
+inside the loops.  The form costs O(degree) to build and is built per call,
+not kept: a per-instance cache adds a dict and two tuples to every
+polynomial ever evaluated, and in workloads that hold many small functions
+that extra garbage-collector work cost more than the cache saved.
 """
 from __future__ import annotations
 
@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
 
-Rational = Fraction
 RationalLike = Union[Fraction, int, str]
 
 
@@ -137,34 +136,33 @@ class Polynomial:
     def compose_affine(self, scale: RationalLike, offset: RationalLike) -> Polynomial:
         """Exact composition p(scale*x + offset); the one change-of-variable kernel.
 
-        With p = ints / den, scale = sn/sd and offset = rn/rd, coefficient m
-        of the result is sn^m S_m / (den sd^m rd^(deg-m)), where the integer
-        S_m = sum_{k>=m} C(k, m) ints_k rn^(k-m) rd^(deg-k).  Each output
-        coefficient is one Fraction; scale 0 leaves the constant p(offset).
+        The additive Taylor shift of von zur Gathen and Gerhard (ISSAC 1997).
+        Write p = ints / den with degree d, and offset r = rn/rd.  Then
+        p(r*y) = P(y) / (den rd^d), where P has the integer coefficients
+        b_k = ints_k rn^k rd^(d-k).  P(y + 1) takes integer additions only,
+        and p(x + r) = P(x/r + 1) / (den rd^d), so coefficient m of p(x + r)
+        is c_m / (rn^m den rd^(d-m)), with c_m coefficient m of P(y + 1); c_m
+        is exactly divisible by rn^m, because every b_k with k >= m is.  The
+        scale s = sn/sd then multiplies coefficient m by (sn/sd)^m.  Offset 0
+        skips the shift (rn := 1).  Each output coefficient is one Fraction;
+        scale 0 leaves the constant p(offset).
         """
         s, r = rat(scale), rat(offset)
         if self.is_zero() or (s == 1 and r == 0):
             return self
-        ints, den = self.cleared
+        b, den = self.cleared
         d = self.degree
+        rn, rd = r.numerator or 1, r.denominator
+        if r:
+            b = [c * rn**k * rd**(d - k) for k, c in enumerate(b)]
+            for i in range(d):
+                for j in range(d - 1, i - 1, -1):
+                    b[j] += b[j + 1]
         sn, sd = s.numerator, s.denominator
-        rn, rd = r.numerator, r.denominator
-        # powers rn^i and rd^i for i in 0..d; with offset 0 only k = m counts
-        pn = [1] * (d + 1)
-        pd = [1] * (d + 1)
-        for i in range(1, d + 1):
-            pn[i] = pn[i - 1] * rn
-            pd[i] = pd[i - 1] * rd
-        out = []
-        sn_m, sd_m = 1, 1
-        for m in range(d + 1):
-            acc = 0
-            for k in range(m, d + 1 if rn else m + 1):
-                acc += math.comb(k, m) * ints[k] * pn[k - m] * pd[d - k]
-            out.append(Fraction(sn_m * acc, den * sd_m * pd[d - m]))
-            sn_m *= sn
-            sd_m *= sd
-        return Polynomial.of(out)
+        return Polynomial.of(
+            Fraction(sn**m * (c // rn**m), den * sd**m * rd**(d - m))
+            for m, c in enumerate(b)
+        )
 
     def taylor_shift(self, offset: RationalLike) -> Polynomial:
         """p(x + offset), that is compose_affine(1, offset)."""
@@ -195,17 +193,10 @@ class Polynomial:
             acc = acc * self
         return acc
 
-    def to_strings(self) -> list[str]:
-        return [rat_str(c) for c in self.coeffs]
-
-    @staticmethod
-    def from_strings(items: Iterable[str]) -> Polynomial:
-        return Polynomial.of(items)
-
     def __repr__(self) -> str:
         if self.is_zero():
             return "Polynomial(0)"
-        return "Polynomial([" + ", ".join(self.to_strings()) + "])"
+        return "Polynomial([" + ", ".join(map(rat_str, self.coeffs)) + "])"
 
 
 ZERO = Polynomial(())

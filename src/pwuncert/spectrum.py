@@ -46,6 +46,7 @@ TWO_PI = 2.0 * math.pi
 _SERIES_CUTOFF = 0.5
 _SERIES_TERMS = 26
 _GL_NODES = 24
+_GL_X, _GL_W = leggauss(_GL_NODES)
 _MAX_DOUBLINGS = 10
 
 
@@ -278,19 +279,12 @@ def _tail_sum(prod, radius: float, drop_tol: float):
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=8)
-def _gl_rule(nodes: int):
-    x, wts = leggauss(nodes)
-    return x, wts
-
-
 def _gl_panels(func, lo: float, hi: float, panels: int) -> float:
-    x, wts = _gl_rule(_GL_NODES)
     edges = np.linspace(lo, hi, panels + 1)
     mid = (edges[1:] + edges[:-1]) / 2
     halfw = (edges[1:] - edges[:-1]) / 2
-    pts = (mid[:, None] + halfw[:, None] * x[None, :]).ravel()
-    weights = (halfw[:, None] * wts[None, :]).ravel()
+    pts = (mid[:, None] + halfw[:, None] * _GL_X[None, :]).ravel()
+    weights = (halfw[:, None] * _GL_W[None, :]).ravel()
     return float(np.dot(func(pts), weights))
 
 
@@ -407,11 +401,7 @@ def cross_freq_moment_quad(fs: PiecewisePoly, fd: PiecewisePoly, *,
 @lru_cache(maxsize=64)
 def _g_half_profile(n: int) -> PiecewisePoly:
     # (1 - y)^n on [0, 1]
-    poly = Polynomial.of([1])
-    one_minus = Polynomial.of([1, -1])
-    for _ in range(n):
-        poly = poly * one_minus
-    return PiecewisePoly.single(Fraction(0), Fraction(1), poly)
+    return PiecewisePoly.single(0, 1, Polynomial.of([1, -1]) ** n)
 
 
 def F_n_eval(n: int, eta):

@@ -276,10 +276,10 @@ def asymmetric_cubic() -> PiecewisePoly:
     of the origin, which makes it the standard asymmetric test input for the
     reflection machinery.
     """
-    left = Polynomial.from_strings(
+    left = Polynomial.of(
         ["0.3030894498", "0.9779994788", "1.2275239864", "0.5526139574"]
     )
-    right = Polynomial.from_strings(
+    right = Polynomial.of(
         ["0.3030894498", "1.3050416889", "-1.6176420481", "0.0095109093"]
     )
     return PiecewisePoly((Fraction(-1), Fraction(0), Fraction(1)), (left, right))

@@ -295,11 +295,6 @@ def check_properties(seed: int | None = None) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
-def _sinc_grid() -> np.ndarray:
-    grid = np.linspace(-30.0, 30.0, 96)
-    return np.concatenate([grid, [-1e-5, -5e-7, 0.0, 5e-7]])  # 100 points
-
-
 def check_spectral_agreement() -> list[CheckResult]:
     out = []
     cases = [
@@ -323,7 +318,8 @@ def check_spectral_agreement() -> list[CheckResult]:
                         worst <= 1e-6)
         )
 
-    grid = _sinc_grid()
+    grid = np.concatenate([np.linspace(-30.0, 30.0, 96),
+                           [-1e-5, -5e-7, 0.0, 5e-7]])  # 100 points
     safe = np.where(grid == 0.0, 1.0, grid)
     base = np.where(grid == 0.0, 1.0, 2.0 * np.sin(safe / 2.0) / safe)
     for p in (1, 2, 3):

@@ -51,8 +51,7 @@ class TestConstruction:
     def test_support_and_smoothness(self, p):
         f = rect_p_explicit(p)
         assert f.support == (Fraction(-p, 2), Fraction(p, 2))
-        assert f.interior_jumps() == []
-        assert f.boundary_values() == (Fraction(0), Fraction(0))
+        assert f.knot_evidence == ((), (Fraction(0), Fraction(0)))
 
     @pytest.mark.parametrize("p", [3, 4])
     def test_integer_translates_partition_unity(self, p):
@@ -99,7 +98,7 @@ class TestScan:
         assert r.u_p == rep.sigma_x2
         assert r.nu_p == rep.sigma_w2
         assert r.uncertainty == rep.uncertainty
-        assert r.uncertainty_float == float(rep.uncertainty)
+        assert float(r.uncertainty) == float(rep.uncertainty)
 
     def test_scan_range_and_order(self):
         rows = rect_scan(2, 8)

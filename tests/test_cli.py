@@ -31,7 +31,7 @@ class TestMoments:
         assert d["sigma_w2"] == "inf"
         assert d["sigma_w2_float"] is None
 
-    def test_atom_flags(self, capsys, tent_file):
+    def test_atom_flags(self, capsys, tent_file, cubic_file):
         code, out, _ = run(capsys, "moments", tent_file,
                            "--t", "2", "--xi", "1", "--u", "5")
         assert code == 0
@@ -39,6 +39,11 @@ class TestMoments:
         assert d["alpha"] == "5"
         assert d["beta_coeff"] == "1"
         assert d["uncertainty"] == "3/10"
+        # the defaults are the identity atom: same bytes as no flags at all
+        _, plain, _ = run(capsys, "moments", cubic_file)
+        _, flagged, _ = run(capsys, "moments", cubic_file,
+                            "--t", "1", "--xi", "0", "--u", "0")
+        assert flagged == plain
 
     def test_stdin_input(self, capsys, monkeypatch):
         monkeypatch.setattr(
@@ -85,9 +90,12 @@ class TestErrorPaths:
         assert "zero" in err
 
     def test_bad_rational_flag(self, capsys, tent_file):
-        code, _, err = run(capsys, "moments", tent_file, "--t", "bogus")
-        assert code == 2
-        assert "--t" in err
+        # an empty value is an error, not a request for the default
+        for flag, value in (("--t", "bogus"), ("--t", ""), ("--xi", ""),
+                            ("--u", "")):
+            code, _, err = run(capsys, "moments", tent_file, flag, value)
+            assert code == 2
+            assert flag in err
 
     def test_nonpositive_scale(self, capsys, tent_file):
         code, _, err = run(capsys, "moments", tent_file, "--t", "-2")

@@ -76,7 +76,7 @@ class TestTablesAndMinimizer:
         rows = dict_table("G", 4)
         assert [r.n for r in rows] == [0, 1, 2, 3, 4]
         finite = rows[2]
-        assert finite.uncertainty_float == float(finite.uncertainty)
+        assert float(finite.uncertainty) == 20 / 63
         assert dict_table("F", 3)[0].n == 1
 
     def test_minimizer_small_scan(self):

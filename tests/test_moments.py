@@ -11,10 +11,10 @@ from pwuncert.moments import (
     ZeroFunctionError,
     alpha,
     atom_report,
-    ext_json_float,
     ext_mul,
     ext_str,
     is_finite,
+    json_pairs,
     norm_sq,
     report,
     sigma_w2,
@@ -56,7 +56,9 @@ class TestKernel:
         for k in range(4):
             for squared in (False, True):
                 assert f.moment(k, squared) == reference_moment(f, k, squared)
-        d = f._formal_derivative()
+        # f' piece by piece, jumps ignored: what square_moments' D integrates
+        d = PiecewisePoly.from_pieces(f.breakpoints,
+                                      [p.derivative() for p in f.pieces])
         assert f.square_moments == (
             reference_moment(f, 0, True),
             reference_moment(f, 1, True),
@@ -178,7 +180,10 @@ class TestGuards:
     def test_ext_helpers(self):
         assert ext_str(Fraction(1, 3)) == "1/3"
         assert ext_str(INF) == "inf"
-        assert ext_json_float(INF) is None
+        assert json_pairs(a=Fraction(1, 4), b=INF) == {
+            "a": "1/4", "a_float": 0.25, "b": "inf", "b_float": None}
+        assert list(json_pairs(z=Fraction(0), a=Fraction(1))) == [
+            "z", "z_float", "a", "a_float"]
         assert ext_mul(Fraction(2), INF) == INF
         with pytest.raises(ArithmeticError):
             ext_mul(Fraction(0), INF)

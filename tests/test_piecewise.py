@@ -3,9 +3,10 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from pwuncert.moments import is_finite, sigma_w2
 from pwuncert.piecewise import (
     FunctionClass,
     JumpDiscontinuityError,
@@ -14,6 +15,7 @@ from pwuncert.piecewise import (
     tent,
 )
 from pwuncert.poly import Polynomial
+from pwuncert.symmetry import asymmetric_cubic
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 
@@ -90,9 +92,7 @@ class TestEvaluation:
         step = PiecewisePoly.from_pieces(
             [0, 1, 2], [Polynomial.of([1]), Polynomial.of([5])]
         )
-        assert step.boundary_values() == (Fraction(1), Fraction(5))
-        assert step.interior_jumps() == [(Fraction(1), Fraction(4))]
-        assert tent().interior_jumps() == []
+        assert tent().knot_evidence == ((), (Fraction(0), Fraction(0)))
         # one immutable record, kept with the function
         assert step.knot_evidence == (((Fraction(1), Fraction(4)),),
                                       (Fraction(1), Fraction(5)))
@@ -194,7 +194,6 @@ class TestCalculus:
         )
         with pytest.raises(JumpDiscontinuityError):
             step.derivative()
-        assert step._formal_derivative().is_zero()
 
     def test_boundary_jumps_do_not_block_derivative(self, boxcar):
         # boundary deltas are the frequency layer's concern, not this one's
@@ -234,6 +233,32 @@ class TestClassification:
     def test_tolerance_admits_decimal_roundoff(self, cubic):
         assert cubic.classify().family == FunctionClass.F_SUPP
         assert cubic.classify(1e-9).family == FunctionClass.F_PLUS_ZERO
+        # f(1) = -1e-10 exactly: an edge obstruction at tol 0, none at 1e-10
+        assert cubic.knot_obstructions(0.0) == (False, True)
+        assert cubic.knot_obstructions(1e-10) == (False, False)
+
+    @example(asymmetric_cubic(), 1, 0.0)
+    @example(asymmetric_cubic(), 1, 1e-10)
+    @given(piecewise_functions(),
+           st.sampled_from([1, Fraction(1, 10**4), Fraction(1, 10**11)]),
+           st.sampled_from([0.0, 1e-10, 1e-3]))
+    @settings(max_examples=80, deadline=None)
+    def test_one_knot_tolerance_rule(self, f, scale, tol):
+        f = f * scale
+        assume(not f.is_zero())
+        jump, edge = reference_obstructions(f, tol)
+        assert f.knot_obstructions(tol) == (jump, edge)
+        assert is_finite(sigma_w2(f, tol)) == (not jump and not edge)
+        assert (f.classify(tol).family is FunctionClass.NONE) == jump
+
+
+def reference_obstructions(f, tol):
+    """(jump, edge) from the pieces' one-sided values at every knot."""
+    bps, ps = f.breakpoints, f.pieces
+    jump = any(abs(float(ps[i](bps[i]) - ps[i - 1](bps[i]))) > tol
+               for i in range(1, len(ps)))
+    edge = abs(float(ps[0](bps[0]))) > tol or abs(float(ps[-1](bps[-1]))) > tol
+    return jump, edge
 
 
 def reference_grid(f):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pwuncert.bspline import rect_p_explicit
 from pwuncert.poly import ONE, X, ZERO, Polynomial, rat, rat_str
 
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=6)
@@ -13,6 +14,9 @@ points = st.one_of(st.integers(-40, 40),
 scales = st.one_of(st.fractions(max_value=Fraction(-1, 6), min_value=-8,
                                 max_denominator=6),
                    st.just(Fraction(0)), st.just(Fraction(1)), rationals)
+
+
+RECT64_MID = rect_p_explicit(64).pieces[32]
 
 
 def horner(p, x):
@@ -94,6 +98,12 @@ class TestComposition:
         for x in (Fraction(0), Fraction(1, 3), Fraction(-5, 2)):
             assert shifted(x) == p(x + c)
 
+    # degree 63: the middle piece of rect^64, as the spline scan shifts it
+    @example(RECT64_MID, Fraction(1), Fraction(1, 2))
+    @example(RECT64_MID, Fraction(1), Fraction(-1, 2))
+    @example(RECT64_MID, Fraction(-1), Fraction(0))
+    @example(RECT64_MID, Fraction(0), Fraction(0))
+    @example(RECT64_MID, Fraction(2, 3), Fraction(-7, 5))
     @given(polys, scales, rationals)
     @settings(max_examples=100, deadline=None)
     def test_compose_affine_matches_pointwise(self, p, s, r):
@@ -132,7 +142,7 @@ class TestSerialization:
     @given(polys)
     @settings(max_examples=40, deadline=None)
     def test_string_round_trip(self, p):
-        assert Polynomial.from_strings(p.to_strings()) == p
+        assert Polynomial.of([rat_str(c) for c in p.coeffs]) == p
 
     def test_rat_coercions(self):
         assert rat(3) == Fraction(3)

@@ -131,7 +131,7 @@ class TestNormalization:
 
 class TestAsymmetricCubic:
     def test_boundary_residue_is_exact(self, cubic):
-        left, right = cubic.boundary_values()
+        _, (left, right) = cubic.knot_evidence
         assert left == 0
         assert right == Fraction(-1, 10**10)
 
