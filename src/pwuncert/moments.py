@@ -58,13 +58,28 @@ def ext_str(value: ExtReal) -> str:
     return rat_str(value) if is_finite(value) else "inf"
 
 
+def json_float(field: str, value: ExtReal, scale: float = 1.0) -> float | None:
+    """The JSON field ``field``, ``scale * float(value)``: None (-> null) for
+    inf, since strict JSON has no Infinity literal.  A finite value whose
+    field is beyond the float range raises OverflowError naming the field."""
+    if not is_finite(value):
+        return None
+    try:
+        out = scale * float(value)
+    except OverflowError:
+        out = math.inf
+    if not math.isfinite(out):
+        raise OverflowError(f"{field}: the exact value is too large for a float")
+    return out
+
+
 def json_pairs(**values: ExtReal) -> dict:
     """{name: exact string, name_float: float} for each value, in order;
-    inf gives "inf" and None (-> null): strict JSON has no Infinity literal."""
+    inf gives "inf" and None (see `json_float`)."""
     out = {}
     for name, value in values.items():
         out[name] = ext_str(value)
-        out[name + "_float"] = float(value) if is_finite(value) else None
+        out[name + "_float"] = json_float(name + "_float", value)
     return out
 
 
@@ -98,7 +113,7 @@ class MomentsReport:
         out = {
             **json_pairs(norm_sq=self.norm_sq, alpha=self.alpha),
             "beta_coeff": rat_str(self.beta_coeff),
-            "beta_float": 2.0 * math.pi * float(self.beta_coeff),
+            "beta_float": json_float("beta_float", self.beta_coeff, 2.0 * math.pi),
             **json_pairs(sigma_x2=self.sigma_x2, sigma_w2=self.sigma_w2,
                          uncertainty=self.uncertainty),
         }

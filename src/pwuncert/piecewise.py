@@ -160,10 +160,12 @@ class PiecewisePoly:
     def knot_obstructions(self, tol: float = 0.0) -> tuple[bool, bool]:
         """(jump, edge): some interior jump, or some boundary value, exceeds
         tol in absolute value.  The one knot-tolerance rule: sigma_w2 is
-        finite iff neither holds; `classify` gives NONE iff `jump` holds."""
+        finite iff neither holds; `classify` gives NONE iff `jump` holds.
+        The test is exact -- a Fraction compares with a float exactly -- so
+        no value overflows, and none below the float range reads as zero."""
         jumps, boundary = self.knot_evidence
-        return (any(abs(float(j)) > tol for _, j in jumps),
-                any(abs(float(v)) > tol for v in boundary))
+        return (any(abs(j) > tol for _, j in jumps),
+                any(abs(v) > tol for v in boundary))
 
     # -- algebra ----------------------------------------------------------
 
@@ -282,6 +284,7 @@ class PiecewisePoly:
         x = a + t*(b - a)/64 once per piece gives q(t) = ints(t) / den, whose
         integer coefficients are evaluated at the integers t = 0..64; int
         true division rounds correctly, so each float is float(p(x)) exactly.
+        A value beyond the float range is yielded as an infinity of its sign.
         """
         last = _GRID_POINTS_PER_PIECE - 1
         for a, b, p in self.intervals():
@@ -290,7 +293,11 @@ class PiecewisePoly:
                 acc = 0
                 for c in reversed(ints):
                     acc = acc * t + c
-                yield acc / den
+                try:
+                    v = acc / den
+                except OverflowError:
+                    v = math.inf if acc > 0 else -math.inf
+                yield v
 
     def _nonneg_on_grid(self, tol: float) -> bool:
         return all(v >= -tol for v in self._grid_samples())

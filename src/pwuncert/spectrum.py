@@ -11,16 +11,33 @@ Plancherel reads ``int |fhat|^2 dw = 2*pi * int f^2 dx``, and for continuous
 compactly supported f with square-integrable derivative
 ``int w^2 |fhat|^2 dw = 2*pi * int f'(x)^2 dx``.
 
+Independence.  The oracle reads only the breakpoints and the raw
+coefficients of a function; it calls no `Polynomial` evaluation, derivative
+or change of variable, so it shares no kernel with the route it checks.
+Its per-piece data -- the moments about the piece midpoint behind the
+small-``|w|`` series, and the derivative values at the piece ends behind the
+integration-by-parts form and the knot jumps -- come from a small integer
+routine here (`_centred`): the coefficients are cleared to integers and
+Taylor-shifted to the midpoint on integers, and each value is formed as one
+integer division, which Python rounds correctly.  So every float equals the
+correctly rounded exact value, and a knot jump is tested against exact zero.
+
 Frequency moments are split at a truncation radius R.  On [0, R] the
 integrand is evaluated pointwise (`fourier_eval`) and integrated by composite
 Gauss-Legendre panels, doubling the panel count until two successive passes
-agree.  On [R, inf) the integrand is rewritten through the boundary-term form
-of the transform (`knot_expansion`), which is an exact identity -- not an
-asymptotic series -- so the tail reduces to a finite combination of
-``int_R^inf e^{-i*delta*w} w^{-M} dw`` evaluated with sine and cosine
-integrals.  The only tail error is roundoff plus any explicitly dropped
-sub-tolerance divergent coefficients; both are folded into the reported
-error estimate.
+agree; a head that never agrees raises `QuadratureConvergenceError`.  The
+moments of orders 0 and 2 share one transform pass: ``|fhat|^2`` is
+evaluated once per panel count, and each order stops doubling at its own
+convergence test.  On [R, inf) the integrand is rewritten through the
+boundary-term form of the transform (`knot_expansion`), which is an exact
+identity -- not an asymptotic series -- so the tail reduces to a finite
+combination of ``int_R^inf e^{-i*delta*w} w^{-M} dw`` evaluated with sine
+and cosine integrals.  The only tail error is roundoff plus any explicitly
+dropped sub-tolerance divergent coefficients; both are folded into the
+reported error estimate.
+
+The Gauss-Legendre rule (`numpy.polynomial`) and ``scipy.special`` are
+loaded by the first quadrature, not at import.
 """
 
 from __future__ import annotations
@@ -32,10 +49,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .piecewise import PiecewisePoly
-from .poly import Polynomial, ZERO
+from .poly import Polynomial
 
 TWO_PI = 2.0 * math.pi
 
@@ -46,26 +62,110 @@ TWO_PI = 2.0 * math.pi
 _SERIES_CUTOFF = 0.5
 _SERIES_TERMS = 26
 _GL_NODES = 24
-_GL_X, _GL_W = leggauss(_GL_NODES)
 _MAX_DOUBLINGS = 10
+_GL_RULE: tuple[np.ndarray, np.ndarray] | None = None  # set by `_gl_rule`
 
 
 class DivergentIntegralError(ArithmeticError):
     """Raised when a requested frequency moment does not converge."""
 
 
+class QuadratureConvergenceError(ArithmeticError):
+    """Raised when a head quadrature misses its tolerance at every panel
+    count it is allowed to try."""
+
+
 @dataclass(frozen=True)
 class QuadratureResult:
-    """A numerically computed value with an a-posteriori error estimate."""
+    """A numerically computed value with an a-posteriori error estimate.
+
+    ``panels`` is the largest Gauss-Legendre panel count of the head
+    quadratures behind the value (0 when none ran); each of them met its
+    tolerance there, since a head that does not raises
+    `QuadratureConvergenceError` instead of returning.
+    """
 
     value: float
     abs_error_estimate: float
     truncation_radius: float
+    panels: int
 
 
 # ---------------------------------------------------------------------------
-# pointwise transform values
+# per-piece data on integers
 # ---------------------------------------------------------------------------
+
+
+def _shift(c: list[int], t: int) -> list[int]:
+    """Coefficients of C(w + t) from those of C(w), on integers."""
+    c = list(c)
+    n = len(c) - 1
+    for i in range(n):
+        for j in range(n - 1, i - 1, -1):
+            c[j] += t * c[j + 1]
+    return c
+
+
+def _centred(a: Fraction, b: Fraction, coeffs) -> tuple[list[int], int, int, int, int]:
+    """One piece on integers, about the midpoint of [a, b].
+
+    With E = lcm(den a, den b), S = 2E, M = E(a + b) and H = E(b - a), all
+    integers, put w = S x - M, which runs over [-H, H] on the piece.  For a
+    piece p of degree d with coefficients n_j / D (D their common
+    denominator), p(x) = sum_j n_j S^(d-j) (w + M)^j / (D S^d), so
+    p(x) = sum_c e_c w^c / (D S^d) with e the integer Taylor shift by M of
+    n_j S^(d-j).  Returns (e, D, S, M, H); e is empty for the zero piece.
+    """
+    pairs = [c.as_integer_ratio() for c in coeffs]
+    den = math.lcm(*[q for _, q in pairs])
+    d = len(pairs) - 1
+    big_e = math.lcm(a.denominator, b.denominator)
+    lo = a.numerator * (big_e // a.denominator)
+    hi = b.numerator * (big_e // b.denominator)
+    s = 2 * big_e
+    ints = [n * (den // q) * s ** (d - j) for j, (n, q) in enumerate(pairs)]
+    return _shift(ints, lo + hi), den, s, lo + hi, hi - lo
+
+
+def _series(e: list[int], den: int, s: int, h: int) -> tuple[float, ...]:
+    """(moment of order k about the midpoint) / k!, for k < _SERIES_TERMS.
+
+    The moment is int_{-H}^{H} (w/S)^k p dw / S
+    = sum over c with k + c even of 2 e_c H^(k+c+1) / ((k+c+1) D S^(d+k+1));
+    over the common denominator L = lcm(1..top) it is one integer quotient.
+    """
+    d = len(e) - 1
+    top = _SERIES_TERMS + d
+    big_l = math.lcm(*range(1, top + 1))
+    h_pow = [1] * (top + 1)
+    s_pow = [1] * (top + 1)
+    for t in range(1, top + 1):
+        h_pow[t] = h_pow[t - 1] * h
+        s_pow[t] = s_pow[t - 1] * s
+    out = []
+    for k in range(_SERIES_TERMS):
+        num = 0
+        for c in range(k % 2, d + 1, 2):
+            t = k + c + 1
+            num += e[c] * h_pow[t] * (big_l // t)
+        out.append(2 * num / (big_l * den * s_pow[d + k + 1]) / math.factorial(k))
+    return tuple(out)
+
+
+def _end_values(e: list[int], den: int, s: int,
+                h: int) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """Exact p^(r) at the left and the right piece end, r = 0..d, each as an
+    integer pair (num, den).
+
+    With w = S x - M, p^(r)(x) = S^r E^(r)(w) / (D S^d), and E^(r)(w0) is
+    r! times coefficient r of E(w + w0); the ends are w0 = -H and w0 = H.
+    """
+    d = len(e) - 1
+    return tuple(
+        [(math.factorial(r) * c, den * s ** (d - r))
+         for r, c in enumerate(_shift(e, w0))]
+        for w0 in (-h, h)
+    )
 
 
 @dataclass(frozen=True)
@@ -83,28 +183,12 @@ class _PieceData:
 def _piece_data(f: PiecewisePoly) -> tuple[_PieceData, ...]:
     out = []
     for a, b, piece in f.intervals():
-        mid = (a + b) / 2
-        half = (b - a) / 2
-        centered = piece.taylor_shift(mid)  # piece(y + mid) on [-half, half]
-        series = []
-        for k in range(_SERIES_TERMS):
-            mk = Fraction(0)
-            for c, q in enumerate(centered.coeffs):
-                if (k + c) % 2 == 0:
-                    mk += 2 * q * half ** (k + c + 1) / (k + c + 1)
-            series.append(float(mk) / math.factorial(k))
-        da: list[float] = []
-        db: list[float] = []
-        d = piece
-        while not d.is_zero():
-            da.append(float(d(a)))
-            db.append(float(d(b)))
-            d = d.derivative()
-        if not da:
-            da = db = [0.0]
+        e, den, s, m, h = _centred(a, b, piece.coeffs)
+        at_a, at_b = _end_values(e, den, s, h)
         out.append(
-            _PieceData(float(a), float(b), float(mid), float(half),
-                       tuple(series), tuple(da), tuple(db))
+            _PieceData(float(a), float(b), m / s, h / s, _series(e, den, s, h),
+                       tuple(n / q for n, q in at_a) or (0.0,),
+                       tuple(n / q for n, q in at_b) or (0.0,))
         )
     return tuple(out)
 
@@ -174,37 +258,29 @@ def knot_expansion(f: PiecewisePoly) -> tuple[KnotTerm, ...]:
 
     Obtained by integrating ``e^{-iwx}`` by parts on each piece until the
     polynomial is exhausted; interior contributions combine into derivative
-    jumps at the breakpoints.
+    jumps at the breakpoints.  Each jump is the exact difference of the two
+    one-sided derivative values, rounded to float once.
     """
+    ends = []
+    for a, b, piece in f.intervals():
+        e, den, s, _, h = _centred(a, b, piece.coeffs)
+        ends.append(_end_values(e, den, s, h))
     terms: list[KnotTerm] = []
-    n = len(f.pieces)
     for j, x in enumerate(f.breakpoints):
-        left = f.pieces[j - 1] if j > 0 else ZERO
-        right = f.pieces[j] if j < n else ZERO
-        r = 0
-        while not (left.is_zero() and right.is_zero()):
-            jump = right(x) - left(x)
+        left = ends[j - 1][1] if j > 0 else []
+        right = ends[j][0] if j < len(ends) else []
+        for r in range(max(len(left), len(right))):
+            ln, ld = left[r] if r < len(left) else (0, 1)
+            rn, rd = right[r] if r < len(right) else (0, 1)
+            jump = rn * ld - ln * rd
             if jump:
-                terms.append(KnotTerm(float(x), r + 1, float(jump) * _PHASE[r % 4]))
-            left = left.derivative()
-            right = right.derivative()
-            r += 1
+                terms.append(KnotTerm(float(x), r + 1,
+                                      jump / (rd * ld) * _PHASE[r % 4]))
     return tuple(terms)
 
 
-def eval_knot_expansion(terms, omega):
-    """Sum a knot expansion at scalar or array ``omega`` (all entries != 0)."""
-    w = np.asarray(omega, dtype=float)
-    scalar = w.ndim == 0
-    w = np.atleast_1d(w)
-    out = np.zeros(w.shape, dtype=complex)
-    for t in terms:
-        out += t.coeff * np.exp(-1j * w * t.position) / w**t.power
-    return complex(out[0]) if scalar else out
-
-
-def _product_terms(ta, tb, k: int, conjugate_second: bool = True):
-    """Terms of ``w^k * A(w) * B~(w)`` with A, B given by knot expansions.
+def _product_terms(ta, tb, conjugate_second: bool = True):
+    """Terms of ``A(w) * B~(w)`` with A, B given by knot expansions.
 
     B~ is conj(B) when ``conjugate_second`` else B itself.  Returns a dict
     mapping (delta, M) -> coefficient for terms ``c * e^{-i w delta} / w^M``.
@@ -221,7 +297,7 @@ def _product_terms(ta, tb, k: int, conjugate_second: bool = True):
             else:
                 delta = u.position + v.position
                 c = u.coeff * v.coeff
-            key = (delta, u.power + v.power - k)
+            key = (delta, u.power + v.power)
             out[key] = out.get(key, 0j) + c
     return out
 
@@ -246,32 +322,47 @@ def _tail_I(radius: float, delta: float, m_max: int) -> list[complex]:
     return vals
 
 
-def _tail_sum(prod, radius: float, drop_tol: float):
-    """Sum ``c * I_M(delta)`` over product terms; returns (total, dropped).
+def _tail_sums(prod, orders: tuple[int, ...], radius: float,
+               drop_tol: float) -> list[tuple[complex, float]]:
+    """Sum ``c * I_(M-k)(delta)`` over the product terms, that is the tail of
+    ``w^k`` times the product, for each k in ``orders``; returns one
+    (total, dropped) per order.
 
-    Terms with M <= 0, or M == 1 with zero phase slope, have no convergent
-    improper integral.  A coefficient above ``drop_tol`` raises
-    `DivergentIntegralError`; below it the term is dropped and a crude bound
-    on its size over one radius-length window is added to ``dropped``.
+    Terms with M - k <= 0, or M - k == 1 with zero phase slope, have no
+    convergent improper integral.  A coefficient above ``drop_tol`` raises
+    `DivergentIntegralError` (checked for every order before any integral is
+    evaluated); below it the term is dropped and a crude bound on its size
+    over one radius-length window is added to ``dropped``.  The orders share
+    one `_tail_I` list per phase slope: its forward recurrence gives the same
+    values whatever its length.
     """
-    by_delta: dict[float, dict[int, complex]] = {}
-    dropped = 0.0
-    for (delta, m), c in prod.items():
-        if m <= 0 or (m == 1 and delta == 0.0):
-            if abs(c) > drop_tol:
-                raise DivergentIntegralError(
-                    f"tail term {abs(c):.3e} * w^{-m} with phase slope "
-                    f"{delta!r} does not converge"
-                )
-            dropped += abs(c) * radius ** max(1 - m, 0)
-            continue
-        by_delta.setdefault(delta, {})[m] = c
-    total = 0j
-    for delta, by_m in by_delta.items():
-        vals = _tail_I(radius, delta, max(by_m))
-        for m, c in by_m.items():
-            total += c * vals[m]
-    return total, dropped
+    kept = []
+    m_top: dict[float, int] = {}
+    for k in orders:
+        by_delta: dict[float, dict[int, complex]] = {}
+        dropped = 0.0
+        for (delta, power), c in prod.items():
+            m = power - k
+            if m <= 0 or (m == 1 and delta == 0.0):
+                if abs(c) > drop_tol:
+                    raise DivergentIntegralError(
+                        f"tail term {abs(c):.3e} * w^{-m} with phase slope "
+                        f"{delta!r} does not converge"
+                    )
+                dropped += abs(c) * radius ** max(1 - m, 0)
+                continue
+            by_delta.setdefault(delta, {})[m] = c
+            m_top[delta] = max(m_top.get(delta, 0), m)
+        kept.append((by_delta, dropped))
+    vals = {delta: _tail_I(radius, delta, m) for delta, m in m_top.items()}
+    out = []
+    for by_delta, dropped in kept:
+        total = 0j
+        for delta, by_m in by_delta.items():
+            for m, c in by_m.items():
+                total += c * vals[delta][m]
+        out.append((total, dropped))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -279,30 +370,56 @@ def _tail_sum(prod, radius: float, drop_tol: float):
 # ---------------------------------------------------------------------------
 
 
-def _gl_panels(func, lo: float, hi: float, panels: int) -> float:
+def _gl_rule() -> tuple[np.ndarray, np.ndarray]:
+    """The Gauss-Legendre nodes and weights, built by the first quadrature."""
+    global _GL_RULE
+    if _GL_RULE is None:
+        # imported here: numpy.polynomial and the LAPACK call inside
+        # leggauss add about 1 MB to every process that imports this module
+        from numpy.polynomial.legendre import leggauss
+        _GL_RULE = leggauss(_GL_NODES)
+    return _GL_RULE
+
+
+def _gl_panels(rows, lo: float, hi: float, panels: int) -> list[float]:
+    gl_x, gl_w = _gl_rule()
     edges = np.linspace(lo, hi, panels + 1)
     mid = (edges[1:] + edges[:-1]) / 2
     halfw = (edges[1:] - edges[:-1]) / 2
-    pts = (mid[:, None] + halfw[:, None] * _GL_X[None, :]).ravel()
-    weights = (halfw[:, None] * _GL_W[None, :]).ravel()
-    return float(np.dot(func(pts), weights))
+    pts = (mid[:, None] + halfw[:, None] * gl_x[None, :]).ravel()
+    weights = (halfw[:, None] * gl_w[None, :]).ravel()
+    return [float(np.dot(row, weights)) for row in rows(pts)]
 
 
-def _head_quad(func, lo: float, hi: float, rtol: float, panels0: int,
-               scale_floor: float = 0.0):
-    """Composite Gauss-Legendre with panel doubling; returns (value, err)."""
-    prev = _gl_panels(func, lo, hi, panels0)
-    panels = panels0
-    err = math.inf
-    cur = prev
-    for _ in range(_MAX_DOUBLINGS):
-        panels *= 2
-        cur = _gl_panels(func, lo, hi, panels)
-        err = abs(cur - prev)
-        if err <= rtol * max(abs(cur), scale_floor) + 1e-300:
-            break
+def _head_quad(rows, lo: float, hi: float, rtol: float, panels0: int,
+               scale_floor: float = 0.0) -> list[tuple[float, float, int]]:
+    """Composite Gauss-Legendre on [lo, hi] with panel doubling, for several
+    integrands evaluated at shared nodes.
+
+    ``rows(pts)`` returns one 1-D array of values per integrand.  Each
+    integrand has its own convergence test -- two successive panel counts
+    agree to ``rtol`` relative, against at least ``scale_floor`` -- and keeps
+    the value of the panel count where it first passes; doubling goes on
+    while any has not passed.  Each is summed by its own 1-D ``np.dot``, so
+    its value does not depend on which others share the pass.  Returns
+    (value, err, panels) per integrand, or raises
+    `QuadratureConvergenceError` after ``_MAX_DOUBLINGS`` doublings.
+    """
+    prev = _gl_panels(rows, lo, hi, panels0)
+    done: list[tuple[float, float, int] | None] = [None] * len(prev)
+    for doubling in range(1, _MAX_DOUBLINGS + 1):
+        panels = panels0 << doubling
+        cur = _gl_panels(rows, lo, hi, panels)
+        for i, (c, p) in enumerate(zip(cur, prev)):
+            err = abs(c - p)
+            if done[i] is None and err <= rtol * max(abs(c), scale_floor) + 1e-300:
+                done[i] = (c, err, panels)
+        if all(done):
+            return done
         prev = cur
-    return cur, err
+    raise QuadratureConvergenceError(
+        f"head quadrature on [{lo!r}, {hi!r}] missed rtol {rtol!r} up to "
+        f"{panels0 << _MAX_DOUBLINGS} panels")
 
 
 def _initial_panels(radius: float, diameter: float) -> int:
@@ -313,6 +430,40 @@ def _initial_panels(radius: float, diameter: float) -> int:
 # ---------------------------------------------------------------------------
 # frequency moments
 # ---------------------------------------------------------------------------
+
+
+def _freq_moments(f: PiecewisePoly, orders: tuple[int, ...], radius: float,
+                  rtol: float, drop_tol: float) -> list[QuadratureResult]:
+    """`quad_freq_moment` for each order in ``orders``, from one transform
+    pass: ``|fhat|^2`` is evaluated once per panel count for all of them.
+
+    Every tail is summed before any head quadrature runs, so a divergent
+    order raises before the transform is evaluated.
+    """
+    for k in orders:
+        if k not in (0, 2):
+            raise ValueError(f"frequency moment order must be 0 or 2, got {k!r}")
+    if f.is_zero():
+        return [QuadratureResult(0.0, 0.0, radius, 0) for _ in orders]
+    terms = knot_expansion(f)
+    tails = _tail_sums(_product_terms(terms, terms), orders, radius, drop_tol)
+
+    def rows(w):
+        fh = fourier_eval(f, w)
+        vals = fh.real**2 + fh.imag**2
+        return [vals * w**k if k else vals for k in orders]
+
+    lo, hi = f.support
+    heads = _head_quad(rows, 0.0, radius, rtol,
+                       _initial_panels(radius, float(hi - lo)))
+    out = []
+    for (tail, dropped), (head, head_err, panels) in zip(tails, heads):
+        # even integrand: both half-lines contribute equally; the tail sum is
+        # real up to roundoff, so its imaginary part is counted as error
+        value = (2.0 * head + 2.0 * tail.real) / TWO_PI
+        est = (2.0 * head_err + 2.0 * abs(tail.imag) + dropped) / TWO_PI
+        out.append(QuadratureResult(value, est, radius, panels))
+    return out
 
 
 def quad_freq_moment(f: PiecewisePoly, k: int, *, radius: float = 40.0,
@@ -326,42 +477,22 @@ def quad_freq_moment(f: PiecewisePoly, k: int, *, radius: float = 40.0,
     coefficients whose tail contribution stays below ``drop_tol`` are instead
     dropped into the error estimate.
     """
-    if k not in (0, 2):
-        raise ValueError(f"frequency moment order must be 0 or 2, got {k!r}")
-    if f.is_zero():
-        return QuadratureResult(0.0, 0.0, radius)
-    terms = knot_expansion(f)
-    prod = _product_terms(terms, terms, k)
-    tail, dropped = _tail_sum(prod, radius, drop_tol)
-
-    def integrand(w):
-        fh = fourier_eval(f, w)
-        vals = fh.real**2 + fh.imag**2
-        return vals * w**k if k else vals
-
-    lo, hi = f.support
-    head, head_err = _head_quad(integrand, 0.0, radius, rtol,
-                                _initial_panels(radius, float(hi - lo)))
-    # even integrand: both half-lines contribute equally; the tail sum is
-    # real up to roundoff, so its imaginary part is counted as error
-    value = (2.0 * head + 2.0 * tail.real) / TWO_PI
-    est = (2.0 * head_err + 2.0 * abs(tail.imag) + dropped) / TWO_PI
-    return QuadratureResult(value, est, radius)
+    return _freq_moments(f, (k,), radius, rtol, drop_tol)[0]
 
 
 def quad_sigma_w2(f: PiecewisePoly, *, radius: float = 40.0, rtol: float = 1e-9,
                   drop_tol: float = 1e-8) -> QuadratureResult:
     """Frequency variance about 0 by pure frequency-side quadrature.
 
-    Ratio of the second to the zeroth frequency moment; for a real function
-    with zero frequency mean this is the spectral variance that the exact
-    pipeline computes from ``int (f')^2 / int f^2``.
+    Ratio of the second to the zeroth frequency moment, both from one
+    transform pass; for a real function with zero frequency mean this is the
+    spectral variance that the exact pipeline computes from
+    ``int (f')^2 / int f^2``.
     """
-    m2 = quad_freq_moment(f, 2, radius=radius, rtol=rtol, drop_tol=drop_tol)
-    m0 = quad_freq_moment(f, 0, radius=radius, rtol=rtol, drop_tol=drop_tol)
+    m2, m0 = _freq_moments(f, (2, 0), radius, rtol, drop_tol)
     value = m2.value / m0.value
     est = (m2.abs_error_estimate + abs(value) * m0.abs_error_estimate) / m0.value
-    return QuadratureResult(value, est, radius)
+    return QuadratureResult(value, est, radius, max(m2.panels, m0.panels))
 
 
 def cross_freq_moment_quad(fs: PiecewisePoly, fd: PiecewisePoly, *,
@@ -373,24 +504,24 @@ def cross_freq_moment_quad(fs: PiecewisePoly, fd: PiecewisePoly, *,
     ``int fs' fd'`` -- the mixed term that appears when the bandwidth of a
     sum is expanded into its reflection halves.
     """
-    prod = _product_terms(knot_expansion(fs), knot_expansion(fd), 2)
-    tail, dropped = _tail_sum(prod, radius, drop_tol)
+    prod = _product_terms(knot_expansion(fs), knot_expansion(fd))
+    [(tail, dropped)] = _tail_sums(prod, (2,), radius, drop_tol)
 
-    def integrand(w):
+    def rows(w):
         a = fourier_eval(fs, w)
         b = fourier_eval(fd, w)
-        return (a * np.conj(b)).real * w * w
+        return [(a * np.conj(b)).real * w * w]
 
     lo_s, hi_s = fs.support
     lo_d, hi_d = fd.support
     diam = float(max(hi_s, hi_d) - min(lo_s, lo_d))
-    head, head_err = _head_quad(integrand, 0.0, radius, rtol,
-                                _initial_panels(radius, diam))
+    [(head, head_err, panels)] = _head_quad(rows, 0.0, radius, rtol,
+                                            _initial_panels(radius, diam))
     # the integrand at -w is the conjugate of its value at +w, so the full
     # line integral is twice the real part of the half-line integral
     value = (2.0 * head + 2.0 * tail.real) / TWO_PI
     est = (2.0 * head_err + dropped) / TWO_PI
-    return QuadratureResult(value, est, radius)
+    return QuadratureResult(value, est, radius, panels)
 
 
 # ---------------------------------------------------------------------------
@@ -404,35 +535,31 @@ def _g_half_profile(n: int) -> PiecewisePoly:
     return PiecewisePoly.single(0, 1, Polynomial.of([1, -1]) ** n)
 
 
-def F_n_eval(n: int, eta):
-    """``F_n(eta) = int_0^1 (1 - y)^n cos(eta y) dy`` (scalar or array eta)."""
-    return fourier_eval(_g_half_profile(n), eta).real
-
-
 def F_sq_integral(n: int, *, radius: float = 60.0, rtol: float = 1e-9,
                   drop_tol: float = 1e-8) -> QuadratureResult:
     """``int_R F_n(eta)^2 d eta``; equals pi/(2n+1) by Plancherel.
 
-    F_n is the real part of the half-profile transform A, so
-    ``F_n^2 = Re(A^2)/2 + |A|^2/2`` and both tail pieces reduce to the same
-    sine/cosine-integral machinery (one without conjugation, one with).
+    F_n(eta) = int_0^1 (1 - y)^n cos(eta y) dy is the real part of the
+    half-profile transform A, so ``F_n^2 = Re(A^2)/2 + |A|^2/2`` and both
+    tail pieces reduce to the same sine/cosine-integral machinery (one
+    without conjugation, one with).
     """
     g = _g_half_profile(n)
     terms = knot_expansion(g)
-    t_sq, d_sq = _tail_sum(_product_terms(terms, terms, 0, conjugate_second=False),
-                           radius, drop_tol)
-    t_abs, d_abs = _tail_sum(_product_terms(terms, terms, 0), radius, drop_tol)
+    [(t_sq, d_sq)] = _tail_sums(_product_terms(terms, terms, conjugate_second=False),
+                                (0,), radius, drop_tol)
+    [(t_abs, d_abs)] = _tail_sums(_product_terms(terms, terms), (0,), radius, drop_tol)
     tail = 0.5 * t_sq.real + 0.5 * t_abs.real
 
-    def integrand(eta):
+    def rows(eta):
         v = fourier_eval(g, eta).real
-        return v * v
+        return [v * v]
 
-    head, head_err = _head_quad(integrand, 0.0, radius, rtol,
-                                _initial_panels(radius, 1.0))
+    [(head, head_err, panels)] = _head_quad(rows, 0.0, radius, rtol,
+                                            _initial_panels(radius, 1.0))
     value = 2.0 * head + 2.0 * tail
     est = 2.0 * head_err + 0.5 * (d_sq + d_abs) + abs(t_abs.imag)
-    return QuadratureResult(value, est, radius)
+    return QuadratureResult(value, est, radius, panels)
 
 
 # ---------------------------------------------------------------------------
@@ -456,14 +583,14 @@ def atom_freq_mean(envelope: PiecewisePoly, params, *, radius: float = 40.0,
     m0 = quad_freq_moment(envelope, 0, radius=radius, rtol=rtol, drop_tol=drop_tol)
     denom = TWO_PI * m0.value  # int |env_hat|^2
 
-    def integrand(eta):
+    def rows(eta):
         fh = fourier_eval(envelope, eta)
-        return eta * (fh.real**2 + fh.imag**2)
+        return [eta * (fh.real**2 + fh.imag**2)]
 
     lo, hi = envelope.support
     panels0 = 2 * _initial_panels(radius, float(hi - lo))
-    first, first_err = _head_quad(integrand, -radius, radius, rtol, panels0,
-                                  scale_floor=denom * radius)
+    [(first, first_err, panels)] = _head_quad(rows, -radius, radius, rtol, panels0,
+                                              scale_floor=denom * radius)
     value = TWO_PI * xi + first / (t * denom)
     est = (first_err + abs(first / denom) * TWO_PI * m0.abs_error_estimate) / (t * denom)
-    return QuadratureResult(value, est, radius)
+    return QuadratureResult(value, est, radius, max(m0.panels, panels))

@@ -31,7 +31,7 @@ import numpy as np
 from . import spectrum
 from .bspline import limit_check, rect_p_explicit, rect_p_recursive, rect_scan
 from .dictionaries import DictionaryId, envelope, row, verify_minimizer
-from .moments import AtomParams, alpha, norm_sq, report, uncertainty
+from .moments import AtomParams, alpha, norm_sq, report, sigma_w2, uncertainty
 from .piecewise import PiecewisePoly, tent
 from .poly import rat_str
 from .symmetry import (
@@ -251,9 +251,15 @@ def _random_nonzero(rng: random.Random, lo: int, hi: int) -> Fraction:
             return v
 
 
-def check_properties(seed: int | None = None) -> list[CheckResult]:
+def _population(seed: int | None) -> tuple[random.Random, list[PiecewisePoly]]:
+    """The generator seeded by `resolve_seed` and the PROPERTY_CASES random
+    F+0 functions drawn first from it."""
     rng = random.Random(resolve_seed(seed))
-    cases = [random_f_plus_zero(rng) for _ in range(PROPERTY_CASES)]
+    return rng, [random_f_plus_zero(rng) for _ in range(PROPERTY_CASES)]
+
+
+def check_properties(seed: int | None = None) -> list[CheckResult]:
+    rng, cases = _population(seed)
 
     def tally(name: str, predicate: Callable[[PiecewisePoly], bool]) -> CheckResult:
         good = sum(1 for f in cases if predicate(f))
@@ -348,6 +354,27 @@ def check_spectral_agreement() -> list[CheckResult]:
     return out
 
 
+def check_population_oracle(seed: int | None = None) -> list[CheckResult]:
+    """The spectral route against the exact one on the seeded random F+0
+    functions of `check_properties`: the frequency variance and the mass, to
+    1e-6 relative."""
+    _, cases = _population(seed)
+    worst = {"quad_sigma_w2": 0.0, "quad_freq_moment(f, 0)": 0.0}
+    for f in cases:
+        for name, got, exact in (
+            ("quad_sigma_w2", spectrum.quad_sigma_w2(f).value, sigma_w2(f)),
+            ("quad_freq_moment(f, 0)", spectrum.quad_freq_moment(f, 0).value,
+             norm_sq(f)),
+        ):
+            rel = abs(got - float(exact)) / float(exact)
+            worst[name] = max(worst[name], rel)
+    return [
+        CheckResult(f"{name} of {PROPERTY_CASES} seeded F+0 functions (quad vs exact)",
+                    "rel err <= 1e-6", f"worst rel err {err:.3e}", err <= 1e-6)
+        for name, err in worst.items()
+    ]
+
+
 # ---------------------------------------------------------------------------
 # registry
 # ---------------------------------------------------------------------------
@@ -359,7 +386,9 @@ CHECK_GROUPS: dict[str, Callable[..., list[CheckResult]]] = {
     "reflections": check_cubic_reflections,
     "properties": check_properties,
     "spectral": check_spectral_agreement,
+    "population-oracle": check_population_oracle,
 }
+SEEDED_GROUPS = (check_properties, check_population_oracle)
 
 
 def run_checks(name_filter: str = "", seed: int | None = None) -> list[CheckResult]:
@@ -368,7 +397,7 @@ def run_checks(name_filter: str = "", seed: int | None = None) -> list[CheckResu
     for group, fn in CHECK_GROUPS.items():
         if name_filter and name_filter not in group:
             continue
-        if fn is check_properties:
+        if fn in SEEDED_GROUPS:
             results.extend(fn(seed))
         else:
             results.extend(fn())

@@ -56,3 +56,9 @@ def test_spectral_oracle_agreement():
     quadrature moments to 1e-6 relative, closed-form transforms to 1e-10,
     half-profile energies to 1e-6, atom frequency means to 1e-6."""
     _run(verify.check_spectral_agreement())
+
+
+def test_population_oracle_agreement():
+    """On fifty seeded random F+0 functions the quadrature frequency
+    variance and mass agree with the exact values to 1e-6 relative."""
+    _run(verify.check_population_oracle())

@@ -89,6 +89,27 @@ class TestErrorPaths:
         assert code == 2
         assert "zero" in err
 
+    def test_values_beyond_float_range(self, capsys, tmp_path):
+        path = tmp_path / "huge.json"
+        # 1e400 is exact, but the float fields cannot hold int f^2 = 1e800
+        path.write_text('{"breakpoints": ["0", "1"], "pieces": [["1e400"]]}')
+        code, out, err = run(capsys, "moments", str(path))
+        assert (code, out) == (2, "")
+        assert "norm_sq_float" in err and "too large for a float" in err
+        # xi is a float, but 2*pi*xi is not
+        path.write_text('{"breakpoints": ["0", "1"], "pieces": [["1"]]}')
+        for xi in ("1e308", "-1e400"):
+            code, out, err = run(capsys, "moments", str(path), f"--xi={xi}")
+            assert (code, out) == (2, "")
+            assert "beta_float" in err and "too large for a float" in err
+        # 1e-400 at both ends is a nonzero boundary value, not zero
+        path.write_text('{"breakpoints": ["0", "1"], "pieces": [["1e-400"]]}')
+        code, out, _ = run(capsys, "moments", str(path))
+        assert code == 0
+        d = json.loads(out)
+        assert (d["sigma_w2"], d["uncertainty"]) == ("inf", "inf")
+        assert d["class"] == "F_plus_supp"
+
     def test_bad_rational_flag(self, capsys, tent_file):
         # an empty value is an error, not a request for the default
         for flag, value in (("--t", "bogus"), ("--t", ""), ("--xi", ""),

@@ -237,6 +237,21 @@ class TestClassification:
         assert cubic.knot_obstructions(0.0) == (False, True)
         assert cubic.knot_obstructions(1e-10) == (False, False)
 
+    def test_knot_rule_beyond_float_range(self):
+        huge = PiecewisePoly.single(0, 1, Polynomial.of(["1e400"]))
+        tiny = PiecewisePoly.single(0, 1, Polynomial.of(["1e-400"]))
+        step = PiecewisePoly.from_pieces(
+            [0, 1, 2], [Polynomial.of(["1e-400"]), Polynomial.of(["-1e400"])])
+        for tol in (0.0, 1e-10):
+            assert huge.knot_obstructions(tol) == (False, True)
+            assert step.knot_obstructions(tol) == (True, True)
+            assert huge.classify(tol).family == FunctionClass.F_PLUS_SUPP
+            assert (-huge).classify(tol).family == FunctionClass.F_SUPP
+        # below the float range is still nonzero at tol 0
+        assert tiny.knot_obstructions(0.0) == (False, True)
+        assert not is_finite(sigma_w2(tiny))
+        assert tiny.knot_obstructions(1e-10) == (False, False)
+
     @example(asymmetric_cubic(), 1, 0.0)
     @example(asymmetric_cubic(), 1, 1e-10)
     @given(piecewise_functions(),

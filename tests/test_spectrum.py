@@ -1,15 +1,24 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pwuncert import spectrum
 from pwuncert.bspline import rect_p_explicit
 from pwuncert.dictionaries import DictionaryId, envelope
-from pwuncert.moments import AtomParams, report
-from pwuncert.piecewise import tent
-from pwuncert.symmetry import asymmetric_cubic, even_odd_split, reflections
+from pwuncert.moments import AtomParams, report, sigma_w2
+from pwuncert.piecewise import PiecewisePoly, tent
+from pwuncert.poly import ZERO, Polynomial
+from pwuncert.symmetry import (
+    asymmetric_cubic,
+    even_odd_split,
+    random_f_plus_zero,
+    reflections,
+)
 
 # straddles the series/partial-integration switchover on the unit pieces
 GRID = np.array([-20.0, -5.0, -0.51, -0.49, 0.0, 1e-8, 0.3, 5.0, 20.0])
@@ -19,6 +28,82 @@ def sinc_hat(omega: np.ndarray) -> np.ndarray:
     """Transform of the unit boxcar: 2 sin(w/2) / w, with value 1 at 0."""
     safe = np.where(omega == 0.0, 1.0, omega)
     return np.where(omega == 0.0, 1.0, 2.0 * np.sin(safe / 2.0) / safe)
+
+
+def eval_knot_expansion(terms, omega):
+    """Sum a knot expansion at scalar ``omega`` != 0."""
+    return sum(t.coeff * np.exp(-1j * omega * t.position) / omega**t.power
+               for t in terms)
+
+
+def F_n_eval(n, eta):
+    """``F_n(eta) = int_0^1 (1 - y)^n cos(eta y) dy``."""
+    g = PiecewisePoly.single(0, 1, Polynomial.of([1, -1]) ** n)
+    return spectrum.fourier_eval(g, eta).real
+
+
+def reference_piece_data(f):
+    """The per-piece data by Fraction arithmetic on the exact kernels:
+    the Taylor shift to the midpoint, Horner values and derivatives."""
+    out = []
+    for a, b, piece in f.intervals():
+        mid = (a + b) / 2
+        half = (b - a) / 2
+        centered = piece.taylor_shift(mid)
+        series = []
+        for k in range(spectrum._SERIES_TERMS):
+            mk = Fraction(0)
+            for c, q in enumerate(centered.coeffs):
+                if (k + c) % 2 == 0:
+                    mk += 2 * q * half ** (k + c + 1) / (k + c + 1)
+            series.append(float(mk) / math.factorial(k))
+        da, db = [], []
+        d = piece
+        while not d.is_zero():
+            da.append(float(d(a)))
+            db.append(float(d(b)))
+            d = d.derivative()
+        if not da:
+            da = db = [0.0]
+        out.append(spectrum._PieceData(float(a), float(b), float(mid), float(half),
+                                       tuple(series), tuple(da), tuple(db)))
+    return tuple(out)
+
+
+def reference_knot_expansion(f):
+    """The knot terms from exact jumps of the pieces' derivatives."""
+    terms = []
+    n = len(f.pieces)
+    for j, x in enumerate(f.breakpoints):
+        left = f.pieces[j - 1] if j > 0 else ZERO
+        right = f.pieces[j] if j < n else ZERO
+        r = 0
+        while not (left.is_zero() and right.is_zero()):
+            jump = right(x) - left(x)
+            if jump:
+                terms.append(spectrum.KnotTerm(float(x), r + 1,
+                                               float(jump) * spectrum._PHASE[r % 4]))
+            left = left.derivative()
+            right = right.derivative()
+            r += 1
+    return tuple(terms)
+
+
+rationals = st.fractions(min_value=-30, max_value=30, max_denominator=9)
+
+
+@st.composite
+def functions_with_zero_pieces(draw):
+    """Up to 5 pieces of degree <= 7; a piece is zero one time in four, so
+    interior zero pieces occur."""
+    n = draw(st.integers(1, 5))
+    bps = sorted(draw(st.sets(rationals, min_size=n + 1, max_size=n + 1)))
+    pieces = [
+        ZERO if draw(st.integers(0, 3)) == 0
+        else Polynomial.of(draw(st.lists(rationals, min_size=1, max_size=8)))
+        for _ in range(n)
+    ]
+    return PiecewisePoly.from_pieces(bps, pieces)
 
 
 class TestFourierEval:
@@ -56,7 +141,7 @@ class TestKnotExpansion:
         terms = spectrum.knot_expansion(f)
         for w in (0.7, -2.3, 11.0, 40.0):
             direct = spectrum.fourier_eval(f, w)
-            via_knots = spectrum.eval_knot_expansion(terms, w)
+            via_knots = eval_knot_expansion(terms, w)
             assert abs(direct - via_knots) < 1e-12
 
 
@@ -112,7 +197,7 @@ class TestHalfProfiles:
     def test_f1_closed_form_value(self):
         # F_1(eta) = (1 - cos eta) * 2 / eta^2, so F_1(pi) = 4 / pi^2... the
         # half-profile normalization used here gives 2 / pi^2 at eta = pi
-        assert spectrum.F_n_eval(1, math.pi) == pytest.approx(
+        assert F_n_eval(1, math.pi) == pytest.approx(
             2.0 / math.pi**2, rel=1e-12)
 
 
@@ -131,3 +216,107 @@ class TestAtomFrequencyMean:
         params = AtomParams.of(t="1/2", xi=3, u="1/4")
         got = spectrum.atom_freq_mean(asymmetric_cubic(), params)
         assert got.value == pytest.approx(6.0 * math.pi, abs=1e-9)
+
+
+class TestPieceDataOnIntegers:
+    @given(functions_with_zero_pieces())
+    @settings(max_examples=150, deadline=None)
+    def test_bit_for_bit_against_fraction_reference(self, f):
+        # repr tells -0.0 from 0.0 and prints every float exactly
+        assert repr(spectrum._piece_data.__wrapped__(f)) == repr(reference_piece_data(f))
+        assert repr(spectrum.knot_expansion.__wrapped__(f)) == repr(
+            reference_knot_expansion(f))
+
+    def test_interior_zero_piece_and_high_degree(self):
+        gap = PiecewisePoly.from_pieces(
+            [-2, -1, 1, 2], [Polynomial.of([2, 1]), ZERO, Polynomial.of([2, -1])])
+        assert gap.pieces[1].is_zero()
+        for f in (gap, rect_p_explicit(12), envelope(DictionaryId("G", 5))):
+            assert repr(spectrum._piece_data.__wrapped__(f)) == repr(
+                reference_piece_data(f))
+            assert repr(spectrum.knot_expansion.__wrapped__(f)) == repr(
+                reference_knot_expansion(f))
+
+
+class TestIndependence:
+    def test_oracle_calls_no_exact_kernel(self, monkeypatch):
+        rng = random.Random(11)
+        smooth = [random_f_plus_zero(rng) for _ in range(4)]
+        exact = [float(sigma_w2(f)) for f in smooth]
+        gap = PiecewisePoly.from_pieces(
+            [Fraction(-3, 2), 0, Fraction(1, 3), 2],
+            [Polynomial.of([3, 2]), ZERO, Polynomial.of([Fraction(7, 5), 0, -1])])
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the oracle called an exact kernel")
+
+        for name in ("compose_affine", "taylor_shift", "__call__", "derivative"):
+            monkeypatch.setattr(Polynomial, name, refuse)
+        spectrum._piece_data.cache_clear()
+        spectrum.knot_expansion.cache_clear()
+        for f in [*smooth, gap]:
+            spectrum.knot_expansion(f)
+            spectrum.fourier_eval(f, GRID)
+            spectrum.quad_freq_moment(f, 0)
+        for f, want in zip(smooth, exact):
+            assert spectrum.quad_sigma_w2(f).value == pytest.approx(want, rel=1e-9)
+
+
+class TestOneTransformPass:
+    def test_sigma_w2_is_the_ratio_of_the_single_order_moments(self):
+        for f in (tent(), rect_p_explicit(3), envelope(DictionaryId("F", 2))):
+            both = spectrum.quad_sigma_w2(f)
+            m2 = spectrum.quad_freq_moment(f, 2)
+            m0 = spectrum.quad_freq_moment(f, 0)
+            assert both.value == m2.value / m0.value
+            assert both.panels == max(m2.panels, m0.panels)
+
+    def test_transform_evaluated_once_per_panel_count(self, monkeypatch):
+        calls = []
+        real = spectrum.fourier_eval
+
+        def counting(f, w):
+            calls.append(len(w))
+            return real(f, w)
+
+        monkeypatch.setattr(spectrum, "fourier_eval", counting)
+        f = rect_p_explicit(4)
+        res = spectrum.quad_sigma_w2(f)
+        # one call per panel count: p0, 2 p0, 4 p0, ... up to res.panels
+        nodes = [n // spectrum._GL_NODES for n in calls]
+        assert nodes == [res.panels >> i for i in reversed(range(len(calls)))]
+
+    def test_divergence_raised_before_any_head_quadrature(self, boxcar, monkeypatch):
+        def no_transform(f, w):
+            raise AssertionError("head quadrature ran")
+
+        monkeypatch.setattr(spectrum, "fourier_eval", no_transform)
+        with pytest.raises(spectrum.DivergentIntegralError,
+                           match=r"^tail term 2\.000e\+00 \* w\^0 with phase "
+                                 r"slope 0\.0 does not converge$"):
+            spectrum.quad_sigma_w2(boxcar)
+
+
+class TestConvergenceEvidence:
+    def test_results_carry_panels(self):
+        f = tent()
+        results = [spectrum.quad_freq_moment(f, 0), spectrum.quad_freq_moment(f, 2),
+                   spectrum.quad_sigma_w2(f), spectrum.F_sq_integral(2),
+                   spectrum.cross_freq_moment_quad(f, rect_p_explicit(4)),
+                   spectrum.atom_freq_mean(f, AtomParams.of(t=1, xi=1, u=0))]
+        for res in results:
+            assert res.panels >= 16  # at least one doubling of >= 8 panels
+        zero = spectrum.quad_freq_moment(PiecewisePoly.zero(), 0)
+        assert (zero.value, zero.panels) == (0.0, 0)
+
+    def test_no_doubling_allowed_raises(self, monkeypatch):
+        monkeypatch.setattr(spectrum, "_MAX_DOUBLINGS", 0)
+        for call in (lambda: spectrum.quad_freq_moment(tent(), 0),
+                     lambda: spectrum.quad_sigma_w2(tent()),
+                     lambda: spectrum.F_sq_integral(1),
+                     lambda: spectrum.atom_freq_mean(
+                         tent(), AtomParams.of(t=1, xi=0, u=0))):
+            with pytest.raises(spectrum.QuadratureConvergenceError,
+                               match="missed rtol"):
+                call()
+        assert issubclass(spectrum.QuadratureConvergenceError, ArithmeticError)
