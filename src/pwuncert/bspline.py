@@ -2,13 +2,14 @@
 
 rect^1 is the indicator of [-1/2, 1/2]; rect^p = rect^(p-1) * rect^1 is
 supported on [-p/2, p/2] with knots at j - p/2 and polynomial degree p - 1.
-Two independent constructions are provided and must agree exactly:
+Two constructions that share no change-of-variable kernel must agree exactly:
 
-* `rect_p_explicit`: the alternating truncated-power formula
-      rect^p(x) = 1/(p-1)! * sum_j (-1)^j C(p,j) max(0, x + p/2 - j)^(p-1)
-  expanded between consecutive integer-offset knots;
+* `rect_p_explicit`: the truncated-power formula, kept on integers as
+      (p-1)! 2^(p-1) rect^p(x) = sum_{i<=j} (-1)^i C(p,i) (2x + p - 2i)^(p-1)
+  on piece j, [j - p/2, j + 1 - p/2);
 * `rect_p_recursive`: the sliding-window integral
-      rect^p(x) = int_{x-1/2}^{x+1/2} rect^(p-1)(s) ds.
+      rect^p(x) = int_{x-1/2}^{x+1/2} rect^(p-1)(s) ds,
+  the running antiderivative of rect^(p-1)(x + 1/2) - rect^(p-1)(x - 1/2).
 
 With u_p = int x^2 |rect^p|^2 / int |rect^p|^2 and nu_p = ||(rect^p)'||^2 /
 ||rect^p||^2 (the frequency variance of the sinc^p transform), the product
@@ -31,43 +32,37 @@ HALF = Fraction(1, 2)
 
 @lru_cache(maxsize=None)
 def rect_p_explicit(p: int) -> PiecewisePoly:
-    """Truncated-power construction, canonicalized."""
+    """Truncated-power construction, canonicalized.  acc holds the integer
+    coefficients of (p-1)! 2^(p-1) rect^p; term i adds, at x^k,
+    (-1)^i C(p,i) C(p-1,k) s^(p-1-k) 2^k with s = p - 2i."""
     if p < 1:
         raise ValueError("p must be >= 1")
     knots = [Fraction(2 * j - p, 2) for j in range(p + 1)]
-    fact = math.factorial(p - 1)
-    acc = [Fraction(0)] * p  # ascending coefficients of the running sum
+    den = math.factorial(p - 1) << (p - 1)
+    acc = [0] * p
     pieces = []
-    for j in range(p):
-        # add (-1)^j C(p,j)/(p-1)! * (x - knots[j])^(p-1)
-        c = Fraction((-1) ** j * math.comb(p, j), fact)
-        shift = -knots[j]
-        power = Fraction(1)
+    for i in range(p):
+        shift = p - 2 * i
+        power = (-1) ** i * math.comb(p, i)
         for k in range(p - 1, -1, -1):
-            acc[k] += c * math.comb(p - 1, k) * power
+            acc[k] += math.comb(p - 1, k) * power << k
             power *= shift
-        pieces.append(Polynomial.of(list(acc)))
+        pieces.append(Polynomial.of([Fraction(a, den) for a in acc]))
     return PiecewisePoly.from_pieces(knots, pieces)
 
 
 def _window_integral(f: PiecewisePoly) -> PiecewisePoly:
-    """g(x) = int_{x-1/2}^{x+1/2} f(s) ds for compactly supported f.
-
-    With B the antiderivative of f on f's own pieces (continuous, B(lo) = 0,
-    zero outside [lo, hi)) and m the total mass, the antiderivative on the
-    whole line is B + m * [x >= hi], so g(x) = B(x + 1/2) - B(x - 1/2) + m
-    on [hi - 1/2, hi + 1/2).
-    """
-    mass = Fraction(0)
+    """g(x) = int_{x-1/2}^{x+1/2} f(s) ds for compactly supported f: g
+    vanishes left of lo - 1/2 and g' = f(x + 1/2) - f(x - 1/2), so g is the
+    running antiderivative of that difference, piece by piece."""
+    value = Fraction(0)
     anti = []
-    for a, b, piece in f.intervals():
+    diff = f.translate(-HALF) - f.translate(HALF)
+    for a, b, piece in diff.intervals():
         ap = piece.antiderivative()
-        anti.append(ap + Polynomial.of([mass - ap(a)]))
-        mass += ap(b) - ap(a)
-    big_b = PiecewisePoly.from_pieces(f.breakpoints, anti)
-    hi = f.support[1]
-    return (big_b.translate(-HALF) - big_b.translate(HALF)
-            + PiecewisePoly.single(hi - HALF, hi + HALF, Polynomial.of([mass])))
+        anti.append(ap + Polynomial.of([value - ap(a)]))
+        value += ap(b) - ap(a)
+    return PiecewisePoly.from_pieces(diff.breakpoints, anti)
 
 
 @lru_cache(maxsize=None)

@@ -33,7 +33,8 @@ from typing import Sequence
 
 from .bspline import rect_scan
 from .dictionaries import dict_table
-from .moments import AtomParams, ZeroFunctionError, atom_report, ext_str, json_pairs
+from .moments import (AtomParams, ZeroFunctionError, atom_report, ext_str,
+                      json_float, json_pairs)
 from .piecewise import PiecewisePoly, SupportError
 from .poly import rat, rat_str
 from .symmetry import ClassViolationError, reflections, theorem_bound_check
@@ -67,6 +68,14 @@ def _parse_rat(text: str, flag: str):
         return rat(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"{flag} expects a rational, got {text!r}: {exc}") from exc
+
+
+def _tolerance(text: str) -> float:
+    """A --class-tol value: a finite float >= 0, compared exactly."""
+    tol = float(text)
+    if not 0 <= tol < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite value >= 0, got {text!r}")
+    return tol
 
 
 def _emit_json(payload: dict) -> None:
@@ -131,7 +140,7 @@ def _cmd_symmetry_check(args: argparse.Namespace) -> int:
     payload = {
         "axis": args.axis,
         "axis_value": rat_str(pair.axis),
-        "axis_float": float(pair.axis),
+        "axis_float": json_float("axis_float", pair.axis),
         **json_pairs(w=pair.w),
         "f_s": pair.f_s.to_json_dict(),
         "f_d": pair.f_d.to_json_dict(),
@@ -206,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--xi", default="0",
                    help="atom modulation frequency in units of 2*pi")
     p.add_argument("--u", default="0", help="atom shift (rational)")
-    p.add_argument("--class-tol", type=float, default=0.0,
+    p.add_argument("--class-tol", type=_tolerance, default=0.0,
                    help="tolerance for boundary-zero / continuity checks")
     p.set_defaults(func=_cmd_moments)
 
@@ -229,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-centering", action="store_true",
                    help="run the bound check about the origin instead of "
                         "the barycenter")
-    p.add_argument("--class-tol", type=float, default=0.0)
+    p.add_argument("--class-tol", type=_tolerance, default=0.0)
     p.set_defaults(func=_cmd_symmetry_check)
 
     p = sub.add_parser("spectrum-sample",

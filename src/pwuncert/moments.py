@@ -59,9 +59,9 @@ def ext_str(value: ExtReal) -> str:
 
 
 def json_float(field: str, value: ExtReal, scale: float = 1.0) -> float | None:
-    """The JSON field ``field``, ``scale * float(value)``: None (-> null) for
-    inf, since strict JSON has no Infinity literal.  A finite value whose
-    field is beyond the float range raises OverflowError naming the field."""
+    """``scale * float(value)`` for the field or value named ``field``: None
+    (-> null) for inf, since strict JSON has no Infinity literal.  A finite
+    value beyond the float range raises OverflowError naming the field."""
     if not is_finite(value):
         return None
     try:

@@ -277,37 +277,38 @@ class PiecewisePoly:
 
     # -- classification ---------------------------------------------------
 
-    def _grid_samples(self) -> Iterator[float]:
+    def _grid_samples(self) -> Iterator[tuple[list[int], int]]:
         """Each piece evaluated exactly on its dyadic grid, ends included.
 
         The grid points are a + i*(b - a)/64 for i = 0..64.  Substituting
         x = a + t*(b - a)/64 once per piece gives q(t) = ints(t) / den, whose
-        integer coefficients are evaluated at the integers t = 0..64; int
-        true division rounds correctly, so each float is float(p(x)) exactly.
-        A value beyond the float range is yielded as an infinity of its sign.
+        integer coefficients are evaluated at the integers t = 0..64.  Each
+        piece yields (accs, den) with den > 0 and p(x) = acc / den at its 65
+        points, so a tolerance test is exact: no sample is rounded.
         """
         last = _GRID_POINTS_PER_PIECE - 1
         for a, b, p in self.intervals():
             ints, den = p.compose_affine((b - a) / last, a).cleared
+            accs = []
             for t in range(_GRID_POINTS_PER_PIECE):
                 acc = 0
                 for c in reversed(ints):
                     acc = acc * t + c
-                try:
-                    v = acc / den
-                except OverflowError:
-                    v = math.inf if acc > 0 else -math.inf
-                yield v
+                accs.append(acc)
+            yield accs, den
 
     def _nonneg_on_grid(self, tol: float) -> bool:
-        return all(v >= -tol for v in self._grid_samples())
+        tn, td = tol.as_integer_ratio()
+        return all(min(accs) * td >= -tn * den for accs, den in self._grid_samples())
 
     def _even_about_midpoint(self, tol: float) -> bool:
         lo, hi = self.support
         mirrored = self.reflect((lo + hi) / 2)
         if tol == 0:
             return self == mirrored
-        return all(abs(v) <= tol for v in (self - mirrored)._grid_samples())
+        tn, td = tol.as_integer_ratio()
+        return all(max(map(abs, accs)) * td <= tn * den
+                   for accs, den in (self - mirrored)._grid_samples())
 
     def classify(self, tol: float = 0.0) -> ClassTag:
         """Most specific class tag; `tol > 0` relaxes the jump, boundary-zero
@@ -360,15 +361,19 @@ class PiecewisePoly:
 
 
 def _cleared(p: Polynomial, squared: bool) -> tuple[Sequence[int], int]:
-    """Integer coefficients c and denominator q with p (or p^2) = c / q."""
+    """Integer coefficients c and denominator q with p (or p^2) = c / q; the
+    square adds a_i^2 at 2i and 2 a_i a_j once for each pair i < j."""
     ints, den = p.cleared
     if not squared:
         return ints, den
-    sq = [0] * (2 * len(ints) - 1) if ints else []
+    n = len(ints)
+    sq = [0] * (2 * n - 1)
     for i, a in enumerate(ints):
         if a:
-            for j, b in enumerate(ints):
-                sq[i + j] += a * b
+            sq[2 * i] += a * a
+            a2 = a << 1
+            for j in range(i + 1, n):
+                sq[i + j] += a2 * ints[j]
     return sq, den * den
 
 

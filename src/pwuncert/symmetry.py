@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .moments import ExtReal, ZeroFunctionError, report
+from .moments import ExtReal, ZeroFunctionError, json_float, report
 from .moments import alpha as barycenter
 from .piecewise import FunctionClass, PiecewisePoly
 from .poly import Polynomial, RationalLike, rat
@@ -198,10 +198,10 @@ def theorem_bound_check(f: PiecewisePoly, *, center: bool = True,
 
     min_ok = rep.uncertainty >= min(u_s, u_d)
 
-    sqrt_s = math.sqrt(float(u_s)) if rs is not None else 0.0
-    sqrt_d = math.sqrt(float(u_d)) if rd is not None else 0.0
+    sqrt_s = math.sqrt(json_float("uncertainty_s", u_s)) if rs is not None else 0.0
+    sqrt_d = math.sqrt(json_float("uncertainty_d", u_d)) if rd is not None else 0.0
     cs_rhs = (float(w) * sqrt_d + float(1 - w) * sqrt_s) ** 2
-    cs_ok = float(rep.uncertainty) >= cs_rhs - _CS_SLACK
+    cs_ok = json_float("uncertainty", rep.uncertainty) >= cs_rhs - _CS_SLACK
 
     mix_x = sum(
         weight * r.sigma_x2

@@ -1,7 +1,8 @@
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pwuncert.bspline import (
@@ -33,6 +34,24 @@ def piecewise_functions(draw):
     return PiecewisePoly.from_pieces(bps, pieces)
 
 
+def reference_explicit(p):
+    """The truncated-power construction by Fraction arithmetic: each knot
+    adds (-1)^j C(p,j)/(p-1)! (x - knot_j)^(p-1) to the running sum."""
+    knots = [Fraction(2 * j - p, 2) for j in range(p + 1)]
+    fact = math.factorial(p - 1)
+    acc = [Fraction(0)] * p
+    pieces = []
+    for j in range(p):
+        c = Fraction((-1) ** j * math.comb(p, j), fact)
+        shift = -knots[j]
+        power = Fraction(1)
+        for k in range(p - 1, -1, -1):
+            acc[k] += c * math.comb(p - 1, k) * power
+            power *= shift
+        pieces.append(Polynomial.of(list(acc)))
+    return PiecewisePoly.from_pieces(knots, pieces)
+
+
 class TestConstruction:
     def test_rect_1_is_the_unit_boxcar(self):
         f = rect_p_explicit(1)
@@ -46,6 +65,14 @@ class TestConstruction:
     @pytest.mark.parametrize("p", range(1, 11))
     def test_explicit_equals_recursive(self, p):
         assert rect_p_explicit(p) == rect_p_recursive(p)
+
+    @example(1)
+    @example(2)
+    @example(40)
+    @given(st.integers(1, 40))
+    @settings(max_examples=15, deadline=None)
+    def test_explicit_matches_fraction_construction(self, p):
+        assert rect_p_explicit(p) == reference_explicit(p)
 
     @pytest.mark.parametrize("p", [2, 3, 5, 8])
     def test_support_and_smoothness(self, p):

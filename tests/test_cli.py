@@ -109,6 +109,26 @@ class TestErrorPaths:
         d = json.loads(out)
         assert (d["sigma_w2"], d["uncertainty"]) == ("inf", "inf")
         assert d["class"] == "F_plus_supp"
+        # the barycenter axis is exact, but beyond the float range
+        path.write_text(
+            '{"breakpoints": ["0", "1e400"], "pieces": [["0", "1", "-1e-400"]]}')
+        code, out, err = run(capsys, "symmetry-check", str(path))
+        assert (code, out) == (2, "")
+        assert "axis_float" in err and "too large for a float" in err
+        # a drop over 1e-400 makes U of the right half about 1e400
+        path.write_text('{"breakpoints": ["-1", "0", "1e-400"],'
+                        ' "pieces": [["1", "1"], ["1", "-1e400"]]}')
+        code, out, err = run(capsys, "symmetry-check", str(path))
+        assert (code, out) == (2, "")
+        assert "uncertainty_d" in err and "too large for a float" in err
+
+    def test_class_tol_must_be_finite_and_nonnegative(self, capsys, tent_file):
+        for command in ("moments", "symmetry-check"):
+            for tol in ("inf", "nan", "-1e-9", "bogus"):
+                code, out, err = run(capsys, command, tent_file,
+                                     f"--class-tol={tol}")
+                assert (code, out) == (2, "")
+                assert "--class-tol" in err
 
     def test_bad_rational_flag(self, capsys, tent_file):
         # an empty value is an error, not a request for the default

@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 from unittest import mock
 
@@ -6,12 +7,14 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from pwuncert.bspline import rect_p_explicit
 from pwuncert.moments import is_finite, sigma_w2
 from pwuncert.piecewise import (
     FunctionClass,
     JumpDiscontinuityError,
     PiecewisePoly,
     SupportError,
+    _cleared,
     tent,
 )
 from pwuncert.poly import Polynomial
@@ -217,6 +220,16 @@ class TestCalculus:
         assert f.moment(2, squared=True) >= 0
 
 
+class TestSquaring:
+    @example(rect_p_explicit(20).pieces[10])
+    @given(st.lists(st.one_of(st.just(Fraction(0)), rationals), max_size=21)
+           .map(Polynomial.of))
+    @settings(max_examples=80, deadline=None)
+    def test_cleared_square_matches_product(self, p):
+        sq, den = _cleared(p, squared=True)
+        assert [Fraction(c, den) for c in sq] == list((p * p).coeffs)
+
+
 class TestClassification:
     def test_nested_families(self, boxcar):
         assert tent().classify().family == FunctionClass.P_PLUS_ZERO
@@ -252,6 +265,19 @@ class TestClassification:
         assert not is_finite(sigma_w2(tiny))
         assert tiny.knot_obstructions(1e-10) == (False, False)
 
+    def test_grid_below_float_range(self):
+        # -1e-400 rounds to -0.0, but the exact sample is still negative
+        tiny = PiecewisePoly.single(0, 1, Polynomial.of(["-1e-400"]))
+        assert tiny.classify().family == FunctionClass.F_SUPP
+        assert tiny.classify(1e-10).family == FunctionClass.P_PLUS_ZERO
+        assert (-tiny).classify().family == FunctionClass.F_PLUS_SUPP
+        # skew c x (1 - x) peaks at c/4 = tol + 1e-400, which rounds to tol
+        tol = 1e-10
+        c = 4 * (Fraction(tol) + Fraction(1, 10**400))
+        skew = tent() + PiecewisePoly.single(0, 1, Polynomial.of([0, c, -c]))
+        assert skew.classify(tol).family == FunctionClass.F_PLUS_ZERO
+        assert skew.classify(2 * tol).family == FunctionClass.P_PLUS_ZERO
+
     @example(asymmetric_cubic(), 1, 0.0)
     @example(asymmetric_cubic(), 1, 1e-10)
     @given(piecewise_functions(),
@@ -277,22 +303,31 @@ def reference_obstructions(f, tol):
 
 
 def reference_grid(f):
-    """The 65-point grid of each piece by Fraction arithmetic."""
+    """The 65-point grid of each piece by Fraction arithmetic, in the
+    (numerators, common denominator) form of `_grid_samples`."""
     for a, b, p in f.intervals():
         step = (b - a) / 64
+        values = []
         for i in range(65):
             x = a + i * step
             acc = Fraction(0)
             for c in reversed(p.coeffs):
                 acc = acc * x + c
-            yield float(acc)
+            values.append(acc)
+        den = math.lcm(*(v.denominator for v in values))
+        yield [v.numerator * (den // v.denominator) for v in values], den
+
+
+def exact_grid(samples):
+    return [[Fraction(acc, den) for acc in accs] for accs, den in samples]
 
 
 class TestGrid:
     @given(piecewise_functions())
     @settings(max_examples=80, deadline=None)
     def test_integer_grid_matches_fraction_grid(self, f):
-        assert list(f._grid_samples()) == list(reference_grid(f))
+        assert exact_grid(f._grid_samples()) == exact_grid(reference_grid(f))
+        assert all(den > 0 for _, den in f._grid_samples())
         tags = [f.classify(tol) for tol in (0.0, 1e-10)]
         with mock.patch.object(PiecewisePoly, "_grid_samples", reference_grid):
             assert [f.classify(tol) for tol in (0.0, 1e-10)] == tags
