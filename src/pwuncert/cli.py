@@ -33,19 +33,19 @@ from typing import Sequence
 
 from .bspline import rect_scan
 from .dictionaries import dict_table
-from .moments import (AtomParams, ZeroFunctionError, atom_report, ext_str,
-                      json_float, json_pairs)
-from .piecewise import PiecewisePoly, SupportError
+from .moments import AtomParams, atom_report, ext_str, json_float, json_pairs
+from .piecewise import PiecewisePoly
 from .poly import rat, rat_str
-from .symmetry import ClassViolationError, reflections, theorem_bound_check
+from .symmetry import reflections, theorem_bound_check
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
 
-class InputError(Exception):
-    """Unusable input: malformed descriptor, bad rational, zero function."""
+class InputError(ValueError):
+    """Unusable input: unreadable file, malformed descriptor, bad rational or
+    option value."""
 
 
 def _load_function(path: str) -> PiecewisePoly:
@@ -83,6 +83,14 @@ def _emit_json(payload: dict) -> None:
     sys.stdout.write("\n")
 
 
+def _emit_csv(header: list[str], rows) -> None:
+    """Write the header, then the rows as ``rows`` yields them: an error
+    raised while producing a row leaves the lines before it on stdout."""
+    writer = csv.writer(sys.stdout, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -100,37 +108,23 @@ def _cmd_moments(args: argparse.Namespace) -> int:
 
 
 def _cmd_dict_table(args: argparse.Namespace) -> int:
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(["family", "n", "sigma_x2", "sigma_w2", "U", "U_float"])
-    for r in dict_table(args.family, args.n_max):
-        writer.writerow(
-            [
-                r.family,
-                r.n,
-                rat_str(r.sigma_x2),
-                ext_str(r.sigma_w2),
-                ext_str(r.uncertainty),
-                repr(float(r.uncertainty)),
-            ]
-        )
+    # a generator, so the header is written before dict_table can refuse n_max
+    def rows():
+        for r in dict_table(args.family, args.n_max):
+            yield [r.family, r.n, rat_str(r.sigma_x2), ext_str(r.sigma_w2),
+                   ext_str(r.uncertainty), repr(float(r.uncertainty))]
+
+    _emit_csv(["family", "n", "sigma_x2", "sigma_w2", "U", "U_float"], rows())
     return EXIT_OK
 
 
 def _cmd_rect_scan(args: argparse.Namespace) -> int:
     if args.p_min < 2 or args.p_max < args.p_min:
         raise InputError("need 2 <= p-min <= p-max")
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(["p", "u_p", "nu_p", "U", "U_float"])
-    for r in rect_scan(args.p_min, args.p_max):
-        writer.writerow(
-            [
-                r.p,
-                rat_str(r.u_p),
-                rat_str(r.nu_p),
-                rat_str(r.uncertainty),
-                repr(float(r.uncertainty)),
-            ]
-        )
+    _emit_csv(["p", "u_p", "nu_p", "U", "U_float"],
+              ([r.p, rat_str(r.u_p), rat_str(r.nu_p), rat_str(r.uncertainty),
+                repr(float(r.uncertainty))]
+               for r in rect_scan(args.p_min, args.p_max)))
     return EXIT_OK
 
 
@@ -172,14 +166,10 @@ def _cmd_spectrum_sample(args: argparse.Namespace) -> int:
     if args.count < 2:
         raise InputError("--count must be at least 2")
     grid = np.linspace(args.omega_min, args.omega_max, args.count)
-    values = spectrum.fourier_eval(f, grid)
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(["omega", "re", "im", "abs2"])
-    for w, v in zip(grid, values):
-        v = complex(v)
-        writer.writerow(
-            [repr(float(w)), repr(v.real), repr(v.imag), repr(abs(v) ** 2)]
-        )
+    values = map(complex, spectrum.fourier_eval(f, grid))
+    _emit_csv(["omega", "re", "im", "abs2"],
+              ([repr(float(w)), repr(v.real), repr(v.imag), repr(abs(v) ** 2)]
+               for w, v in zip(grid, values)))
     return EXIT_OK
 
 
@@ -266,8 +256,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (InputError, ZeroFunctionError, ClassViolationError, SupportError,
-            ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BrokenPipeError:

@@ -162,7 +162,11 @@ class PiecewisePoly:
         tol in absolute value.  The one knot-tolerance rule: sigma_w2 is
         finite iff neither holds; `classify` gives NONE iff `jump` holds.
         The test is exact -- a Fraction compares with a float exactly -- so
-        no value overflows, and none below the float range reads as zero."""
+        no value overflows, and none below the float range reads as zero.
+        Every tolerance-taking entry point passes through here, so this is
+        where a tolerance outside [0, inf) is refused."""
+        if not 0 <= tol < math.inf:
+            raise ValueError(f"class tolerance must be finite and >= 0, got {tol!r}")
         jumps, boundary = self.knot_evidence
         return (any(abs(j) > tol for _, j in jumps),
                 any(abs(v) > tol for v in boundary))

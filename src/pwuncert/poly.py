@@ -7,13 +7,14 @@ matters once degrees reach ~130 (squares of high-order spline pieces).
 
 Each polynomial also has one integer-cleared form, `cleared = (ints, den)`
 with p = ints / den.  The exact kernels run on it: point evaluation at a
-rational (homogenised Horner) and the one change-of-variable kernel
-`compose_affine` (an additive Taylor shift: integer additions only) work on
-plain integers and build a single Fraction per result value, with no gcd
-inside the loops.  The form costs O(degree) to build and is built per call,
-not kept: a per-instance cache adds a dict and two tuples to every
-polynomial ever evaluated, and in workloads that hold many small functions
-that extra garbage-collector work cost more than the cache saved.
+rational (homogenised Horner; a float argument raises `TypeError`) and the
+one change-of-variable kernel `compose_affine` (an additive Taylor shift:
+integer additions only) work on plain integers and build a single Fraction
+per result value, with no gcd inside the loops.  The form costs O(degree)
+to build and is built per call, not kept: a per-instance cache adds a dict
+and two tuples to every polynomial ever evaluated, and in workloads that
+hold many small functions that extra garbage-collector work cost more than
+the cache saved.
 """
 from __future__ import annotations
 
@@ -77,17 +78,13 @@ class Polynomial:
         den = math.lcm(*[d for _, d in pairs])
         return tuple([n * (den // d) for n, d in pairs]), den
 
-    def __call__(self, x):
-        """Horner evaluation; exact for Fraction/int x, float/complex pass through.
+    def __call__(self, x: RationalLike) -> Fraction:
+        """Exact Horner evaluation at a rational x; a float raises TypeError.
 
         At x = n/d the cleared form is evaluated homogenised, on integers:
         acc = sum_k ints_k n^k d^(deg-k), and p(x) = acc / (den d^deg).
         """
-        if not isinstance(x, (int, Fraction)):
-            acc = 0 * x
-            for c in reversed(self.coeffs):
-                acc = acc * x + c
-            return acc
+        x = rat(x)
         ints, den = self.cleared
         if not ints:
             return Fraction(0)

@@ -14,27 +14,27 @@ compactly supported f with square-integrable derivative
 Independence.  The oracle reads only the breakpoints and the raw
 coefficients of a function; it calls no `Polynomial` evaluation, derivative
 or change of variable, so it shares no kernel with the route it checks.
-Its per-piece data -- the moments about the piece midpoint behind the
-small-``|w|`` series, and the derivative values at the piece ends behind the
-integration-by-parts form and the knot jumps -- come from a small integer
-routine here (`_centred`): the coefficients are cleared to integers and
-Taylor-shifted to the midpoint on integers, and each value is formed as one
-integer division, which Python rounds correctly.  So every float equals the
-correctly rounded exact value, and a knot jump is tested against exact zero.
+One integer pass per function (`_spectral_data`, cached) gives all it
+needs: each piece is cleared to integers and Taylor-shifted to its midpoint
+on integers (`_centred`), which yields the moments behind the small-``|w|``
+series, the derivative values at the piece ends behind the
+integration-by-parts form, and the knot jumps behind the boundary-term form
+(`knot_expansion`).  Each value is one integer division, which Python rounds
+correctly, and a knot jump is tested against exact zero.
 
-Frequency moments are split at a truncation radius R.  On [0, R] the
-integrand is evaluated pointwise (`fourier_eval`) and integrated by composite
-Gauss-Legendre panels, doubling the panel count until two successive passes
-agree; a head that never agrees raises `QuadratureConvergenceError`.  The
-moments of orders 0 and 2 share one transform pass: ``|fhat|^2`` is
-evaluated once per panel count, and each order stops doubling at its own
-convergence test.  On [R, inf) the integrand is rewritten through the
-boundary-term form of the transform (`knot_expansion`), which is an exact
-identity -- not an asymptotic series -- so the tail reduces to a finite
-combination of ``int_R^inf e^{-i*delta*w} w^{-M} dw`` evaluated with sine
-and cosine integrals.  The only tail error is roundoff plus any explicitly
-dropped sub-tolerance divergent coefficients; both are folded into the
-reported error estimate.
+Every frequency integral is one routine, `_freq_moments`:
+``int w^k Re(fhat_a conj fhat_b)`` for a pair of functions, split at the
+radius R = 40.  On [0, R] the transform (`fourier_eval`, evaluated once per
+panel count, shared by the orders and, when a is b, by the two factors) is
+integrated by composite Gauss-Legendre panels, doubling the panel count
+until two passes agree to 1e-9 relative, else `QuadratureConvergenceError`.
+On [R, inf) the boundary-term form -- an exact identity, not an asymptotic
+series -- reduces the tail to a finite combination of
+``int_R^inf e^{-i*delta*w} w^{-M} dw`` evaluated with sine and cosine
+integrals.  The only tail error is roundoff plus divergent coefficients
+below 1e-8, which are dropped; both are folded into the error estimate.
+The radius, tolerance and drop threshold are constants: every caller uses
+the same values.
 
 The Gauss-Legendre rule (`numpy.polynomial`) and ``scipy.special`` are
 loaded by the first quadrature, not at import.
@@ -63,7 +63,10 @@ _SERIES_CUTOFF = 0.5
 _SERIES_TERMS = 26
 _GL_NODES = 24
 _MAX_DOUBLINGS = 10
-_GL_RULE: tuple[np.ndarray, np.ndarray] | None = None  # set by `_gl_rule`
+_RADIUS = 40.0       # truncation radius of every frequency moment
+_F_SQ_RADIUS = 60.0  # truncation radius of `F_sq_integral`
+_RTOL = 1e-9         # relative agreement of two successive head passes
+_DROP_TOL = 1e-8     # largest divergent tail coefficient dropped as roundoff
 
 
 class DivergentIntegralError(ArithmeticError):
@@ -87,7 +90,6 @@ class QuadratureResult:
 
     value: float
     abs_error_estimate: float
-    truncation_radius: float
     panels: int
 
 
@@ -179,18 +181,62 @@ class _PieceData:
     derivs_b: tuple[float, ...]
 
 
+@dataclass(frozen=True)
+class KnotTerm:
+    """One term ``coeff * e^{-i w position} / w**power`` of the transform.
+
+    Summing the terms of `knot_expansion` reproduces fhat(w) exactly for
+    every w != 0; the coefficient collects the jump of the r-th derivative at
+    a breakpoint (the function is extended by zero outside its support) times
+    the phase factor (-i)^(r+1), with power = r + 1.
+    """
+
+    position: float
+    power: int
+    coeff: complex
+
+
+_PHASE = (-1j, complex(-1), 1j, complex(1))  # (-i)^(r+1) for r = 0,1,2,3 mod 4
+
+
 @lru_cache(maxsize=256)
-def _piece_data(f: PiecewisePoly) -> tuple[_PieceData, ...]:
-    out = []
+def _spectral_data(f: PiecewisePoly) -> tuple[tuple[_PieceData, ...],
+                                              tuple[KnotTerm, ...]]:
+    """The per-piece data behind `fourier_eval` and the knot terms behind
+    `knot_expansion`, from one integer pass over the pieces.
+
+    A knot term is found by integrating ``e^{-iwx}`` by parts on each piece
+    until the polynomial is exhausted; interior contributions combine into
+    derivative jumps at the breakpoints.  Each jump is the exact difference
+    of the two one-sided derivative values, rounded to float once.
+    """
+    pieces, ends = [], []
     for a, b, piece in f.intervals():
         e, den, s, m, h = _centred(a, b, piece.coeffs)
         at_a, at_b = _end_values(e, den, s, h)
-        out.append(
+        ends.append((at_a, at_b))
+        pieces.append(
             _PieceData(float(a), float(b), m / s, h / s, _series(e, den, s, h),
                        tuple(n / q for n, q in at_a) or (0.0,),
                        tuple(n / q for n, q in at_b) or (0.0,))
         )
-    return tuple(out)
+    terms: list[KnotTerm] = []
+    for j, x in enumerate(f.breakpoints):
+        left = ends[j - 1][1] if j > 0 else []
+        right = ends[j][0] if j < len(ends) else []
+        for r in range(max(len(left), len(right))):
+            ln, ld = left[r] if r < len(left) else (0, 1)
+            rn, rd = right[r] if r < len(right) else (0, 1)
+            jump = rn * ld - ln * rd
+            if jump:
+                terms.append(KnotTerm(float(x), r + 1,
+                                      jump / (rd * ld) * _PHASE[r % 4]))
+    return tuple(pieces), tuple(terms)
+
+
+def knot_expansion(f: PiecewisePoly) -> tuple[KnotTerm, ...]:
+    """Exact boundary-term form of the transform of ``f``."""
+    return _spectral_data(f)[1]
 
 
 def fourier_eval(f: PiecewisePoly, omega):
@@ -206,7 +252,7 @@ def fourier_eval(f: PiecewisePoly, omega):
     scalar = w.ndim == 0
     w = np.atleast_1d(w)
     out = np.zeros(w.shape, dtype=complex)
-    for pd in _piece_data(f):
+    for pd in _spectral_data(f)[0]:
         small = np.abs(w) * pd.half <= _SERIES_CUTOFF
         if small.any():
             ws = w[small]
@@ -230,75 +276,24 @@ def fourier_eval(f: PiecewisePoly, omega):
 
 
 # ---------------------------------------------------------------------------
-# boundary-term (knot) expansion
+# tails from the boundary-term form
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class KnotTerm:
-    """One term ``coeff * e^{-i w position} / w**power`` of the transform.
+def _product_terms(ta, tb):
+    """Terms of ``A(w) * conj(B(w))`` with A, B given by knot expansions.
 
-    Summing the terms of `knot_expansion` reproduces fhat(w) exactly for
-    every w != 0; the coefficient collects the jump of the r-th derivative at
-    a breakpoint (the function is extended by zero outside its support) times
-    the phase factor (-i)^(r+1), with power = r + 1.
-    """
-
-    position: float
-    power: int
-    coeff: complex
-
-
-_PHASE = (-1j, complex(-1), 1j, complex(1))  # (-i)^(r+1) for r = 0,1,2,3 mod 4
-
-
-@lru_cache(maxsize=256)
-def knot_expansion(f: PiecewisePoly) -> tuple[KnotTerm, ...]:
-    """Exact boundary-term form of the transform of ``f``.
-
-    Obtained by integrating ``e^{-iwx}`` by parts on each piece until the
-    polynomial is exhausted; interior contributions combine into derivative
-    jumps at the breakpoints.  Each jump is the exact difference of the two
-    one-sided derivative values, rounded to float once.
-    """
-    ends = []
-    for a, b, piece in f.intervals():
-        e, den, s, _, h = _centred(a, b, piece.coeffs)
-        ends.append(_end_values(e, den, s, h))
-    terms: list[KnotTerm] = []
-    for j, x in enumerate(f.breakpoints):
-        left = ends[j - 1][1] if j > 0 else []
-        right = ends[j][0] if j < len(ends) else []
-        for r in range(max(len(left), len(right))):
-            ln, ld = left[r] if r < len(left) else (0, 1)
-            rn, rd = right[r] if r < len(right) else (0, 1)
-            jump = rn * ld - ln * rd
-            if jump:
-                terms.append(KnotTerm(float(x), r + 1,
-                                      jump / (rd * ld) * _PHASE[r % 4]))
-    return tuple(terms)
-
-
-def _product_terms(ta, tb, conjugate_second: bool = True):
-    """Terms of ``A(w) * B~(w)`` with A, B given by knot expansions.
-
-    B~ is conj(B) when ``conjugate_second`` else B itself.  Returns a dict
-    mapping (delta, M) -> coefficient for terms ``c * e^{-i w delta} / w^M``.
-    Coefficients sharing a key are accumulated before any convergence
-    screening, which matters: pairings whose individually divergent parts
-    cancel by symmetry must be allowed to do so.
+    Returns a dict mapping (delta, M) -> coefficient for terms
+    ``c * e^{-i w delta} / w^M``.  Coefficients sharing a key are
+    accumulated before any convergence screening, which matters: pairings
+    whose individually divergent parts cancel by symmetry must be allowed to
+    do so.
     """
     out: dict[tuple[float, int], complex] = {}
     for u in ta:
         for v in tb:
-            if conjugate_second:
-                delta = u.position - v.position
-                c = u.coeff * v.coeff.conjugate()
-            else:
-                delta = u.position + v.position
-                c = u.coeff * v.coeff
-            key = (delta, u.power + v.power)
-            out[key] = out.get(key, 0j) + c
+            key = (u.position - v.position, u.power + v.power)
+            out[key] = out.get(key, 0j) + u.coeff * v.coeff.conjugate()
     return out
 
 
@@ -322,14 +317,14 @@ def _tail_I(radius: float, delta: float, m_max: int) -> list[complex]:
     return vals
 
 
-def _tail_sums(prod, orders: tuple[int, ...], radius: float,
-               drop_tol: float) -> list[tuple[complex, float]]:
+def _tail_sums(prod, orders: tuple[int, ...],
+               radius: float) -> list[tuple[complex, float]]:
     """Sum ``c * I_(M-k)(delta)`` over the product terms, that is the tail of
     ``w^k`` times the product, for each k in ``orders``; returns one
     (total, dropped) per order.
 
     Terms with M - k <= 0, or M - k == 1 with zero phase slope, have no
-    convergent improper integral.  A coefficient above ``drop_tol`` raises
+    convergent improper integral.  A coefficient above ``_DROP_TOL`` raises
     `DivergentIntegralError` (checked for every order before any integral is
     evaluated); below it the term is dropped and a crude bound on its size
     over one radius-length window is added to ``dropped``.  The orders share
@@ -344,7 +339,7 @@ def _tail_sums(prod, orders: tuple[int, ...], radius: float,
         for (delta, power), c in prod.items():
             m = power - k
             if m <= 0 or (m == 1 and delta == 0.0):
-                if abs(c) > drop_tol:
+                if abs(c) > _DROP_TOL:
                     raise DivergentIntegralError(
                         f"tail term {abs(c):.3e} * w^{-m} with phase slope "
                         f"{delta!r} does not converge"
@@ -370,15 +365,13 @@ def _tail_sums(prod, orders: tuple[int, ...], radius: float,
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=1)
 def _gl_rule() -> tuple[np.ndarray, np.ndarray]:
     """The Gauss-Legendre nodes and weights, built by the first quadrature."""
-    global _GL_RULE
-    if _GL_RULE is None:
-        # imported here: numpy.polynomial and the LAPACK call inside
-        # leggauss add about 1 MB to every process that imports this module
-        from numpy.polynomial.legendre import leggauss
-        _GL_RULE = leggauss(_GL_NODES)
-    return _GL_RULE
+    # imported here: numpy.polynomial and the LAPACK call inside leggauss
+    # add about 1 MB to every process that imports this module
+    from numpy.polynomial.legendre import leggauss
+    return leggauss(_GL_NODES)
 
 
 def _gl_panels(rows, lo: float, hi: float, panels: int) -> list[float]:
@@ -391,14 +384,14 @@ def _gl_panels(rows, lo: float, hi: float, panels: int) -> list[float]:
     return [float(np.dot(row, weights)) for row in rows(pts)]
 
 
-def _head_quad(rows, lo: float, hi: float, rtol: float, panels0: int,
+def _head_quad(rows, lo: float, hi: float, panels0: int,
                scale_floor: float = 0.0) -> list[tuple[float, float, int]]:
     """Composite Gauss-Legendre on [lo, hi] with panel doubling, for several
     integrands evaluated at shared nodes.
 
     ``rows(pts)`` returns one 1-D array of values per integrand.  Each
     integrand has its own convergence test -- two successive panel counts
-    agree to ``rtol`` relative, against at least ``scale_floor`` -- and keeps
+    agree to ``_RTOL`` relative, against at least ``scale_floor`` -- and keeps
     the value of the panel count where it first passes; doubling goes on
     while any has not passed.  Each is summed by its own 1-D ``np.dot``, so
     its value does not depend on which others share the pass.  Returns
@@ -412,13 +405,13 @@ def _head_quad(rows, lo: float, hi: float, rtol: float, panels0: int,
         cur = _gl_panels(rows, lo, hi, panels)
         for i, (c, p) in enumerate(zip(cur, prev)):
             err = abs(c - p)
-            if done[i] is None and err <= rtol * max(abs(c), scale_floor) + 1e-300:
+            if done[i] is None and err <= _RTOL * max(abs(c), scale_floor) + 1e-300:
                 done[i] = (c, err, panels)
         if all(done):
             return done
         prev = cur
     raise QuadratureConvergenceError(
-        f"head quadrature on [{lo!r}, {hi!r}] missed rtol {rtol!r} up to "
+        f"head quadrature on [{lo!r}, {hi!r}] missed rtol {_RTOL!r} up to "
         f"{panels0 << _MAX_DOUBLINGS} panels")
 
 
@@ -432,56 +425,60 @@ def _initial_panels(radius: float, diameter: float) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _freq_moments(f: PiecewisePoly, orders: tuple[int, ...], radius: float,
-                  rtol: float, drop_tol: float) -> list[QuadratureResult]:
-    """`quad_freq_moment` for each order in ``orders``, from one transform
-    pass: ``|fhat|^2`` is evaluated once per panel count for all of them.
+def _freq_moments(fa: PiecewisePoly, fb: PiecewisePoly,
+                  orders: tuple[int, ...]) -> list[QuadratureResult]:
+    """``(1/2pi) * int_R w^k Re(fhat_a(w) conj(fhat_b(w))) dw`` for each
+    order k in ``orders``, all from one transform pass.
 
-    Every tail is summed before any head quadrature runs, so a divergent
-    order raises before the transform is evaluated.
+    When ``fa is fb`` the integrand is ``w^k |fhat|^2`` and the transform is
+    evaluated once per panel count.  Every tail is summed before any head
+    quadrature runs, so a divergent order raises before the transform is
+    evaluated.
     """
     for k in orders:
         if k not in (0, 2):
             raise ValueError(f"frequency moment order must be 0 or 2, got {k!r}")
-    if f.is_zero():
-        return [QuadratureResult(0.0, 0.0, radius, 0) for _ in orders]
-    terms = knot_expansion(f)
-    tails = _tail_sums(_product_terms(terms, terms), orders, radius, drop_tol)
+    if fa.is_zero() and fb.is_zero():  # one zero factor still runs the head
+        return [QuadratureResult(0.0, 0.0, 0) for _ in orders]
+    prod = _product_terms(knot_expansion(fa), knot_expansion(fb))
+    tails = _tail_sums(prod, orders, _RADIUS)
 
     def rows(w):
-        fh = fourier_eval(f, w)
-        vals = fh.real**2 + fh.imag**2
+        ha = fourier_eval(fa, w)
+        hb = ha if fa is fb else fourier_eval(fb, w)
+        vals = ha.real * hb.real + ha.imag * hb.imag
         return [vals * w**k if k else vals for k in orders]
 
-    lo, hi = f.support
-    heads = _head_quad(rows, 0.0, radius, rtol,
-                       _initial_panels(radius, float(hi - lo)))
+    (lo_a, hi_a), (lo_b, hi_b) = fa.support, fb.support
+    diameter = float(max(hi_a, hi_b) - min(lo_a, lo_b))
+    heads = _head_quad(rows, 0.0, _RADIUS, _initial_panels(_RADIUS, diameter))
     out = []
     for (tail, dropped), (head, head_err, panels) in zip(tails, heads):
-        # even integrand: both half-lines contribute equally; the tail sum is
-        # real up to roundoff, so its imaginary part is counted as error
+        # the integrand at -w is the conjugate of its value at +w, so the
+        # line integral is twice the real part of the half-line one; for
+        # a single function the tail sum is real up to roundoff, so its
+        # imaginary part is counted as error
+        roundoff = 2.0 * abs(tail.imag) if fa is fb else 0.0
         value = (2.0 * head + 2.0 * tail.real) / TWO_PI
-        est = (2.0 * head_err + 2.0 * abs(tail.imag) + dropped) / TWO_PI
-        out.append(QuadratureResult(value, est, radius, panels))
+        est = (2.0 * head_err + roundoff + dropped) / TWO_PI
+        out.append(QuadratureResult(value, est, panels))
     return out
 
 
-def quad_freq_moment(f: PiecewisePoly, k: int, *, radius: float = 40.0,
-                     rtol: float = 1e-9, drop_tol: float = 1e-8) -> QuadratureResult:
+def quad_freq_moment(f: PiecewisePoly, k: int) -> QuadratureResult:
     """``(1/2pi) * int_R w^k |fhat(w)|^2 dw`` for k in {0, 2}, by quadrature.
 
     By Plancherel the k = 0 value equals ``int f^2`` and the k = 2 value
     equals ``int (f')^2`` whenever the latter is finite.  If f has a genuine
     jump (interior, or a nonzero boundary value) the k = 2 tail carries a
     non-decaying term and `DivergentIntegralError` is raised; jump
-    coefficients whose tail contribution stays below ``drop_tol`` are instead
-    dropped into the error estimate.
+    coefficients below the drop threshold (1e-8) are instead dropped into
+    the error estimate.
     """
-    return _freq_moments(f, (k,), radius, rtol, drop_tol)[0]
+    return _freq_moments(f, f, (k,))[0]
 
 
-def quad_sigma_w2(f: PiecewisePoly, *, radius: float = 40.0, rtol: float = 1e-9,
-                  drop_tol: float = 1e-8) -> QuadratureResult:
+def quad_sigma_w2(f: PiecewisePoly) -> QuadratureResult:
     """Frequency variance about 0 by pure frequency-side quadrature.
 
     Ratio of the second to the zeroth frequency moment, both from one
@@ -489,39 +486,20 @@ def quad_sigma_w2(f: PiecewisePoly, *, radius: float = 40.0, rtol: float = 1e-9,
     spectral variance that the exact pipeline computes from
     ``int (f')^2 / int f^2``.
     """
-    m2, m0 = _freq_moments(f, (2, 0), radius, rtol, drop_tol)
+    m2, m0 = _freq_moments(f, f, (2, 0))
     value = m2.value / m0.value
     est = (m2.abs_error_estimate + abs(value) * m0.abs_error_estimate) / m0.value
-    return QuadratureResult(value, est, radius, max(m2.panels, m0.panels))
+    return QuadratureResult(value, est, max(m2.panels, m0.panels))
 
 
-def cross_freq_moment_quad(fs: PiecewisePoly, fd: PiecewisePoly, *,
-                           radius: float = 40.0, rtol: float = 1e-9,
-                           drop_tol: float = 1e-8) -> QuadratureResult:
+def cross_freq_moment_quad(fs: PiecewisePoly, fd: PiecewisePoly) -> QuadratureResult:
     """``(1/2pi) * int_R w^2 fhat_s(w) conj(fhat_d(w)) dw`` (real part).
 
     For real fs, fd with square-integrable derivatives this equals
     ``int fs' fd'`` -- the mixed term that appears when the bandwidth of a
     sum is expanded into its reflection halves.
     """
-    prod = _product_terms(knot_expansion(fs), knot_expansion(fd))
-    [(tail, dropped)] = _tail_sums(prod, (2,), radius, drop_tol)
-
-    def rows(w):
-        a = fourier_eval(fs, w)
-        b = fourier_eval(fd, w)
-        return [(a * np.conj(b)).real * w * w]
-
-    lo_s, hi_s = fs.support
-    lo_d, hi_d = fd.support
-    diam = float(max(hi_s, hi_d) - min(lo_s, lo_d))
-    [(head, head_err, panels)] = _head_quad(rows, 0.0, radius, rtol,
-                                            _initial_panels(radius, diam))
-    # the integrand at -w is the conjugate of its value at +w, so the full
-    # line integral is twice the real part of the half-line integral
-    value = (2.0 * head + 2.0 * tail.real) / TWO_PI
-    est = (2.0 * head_err + dropped) / TWO_PI
-    return QuadratureResult(value, est, radius, panels)
+    return _freq_moments(fs, fd, (2,))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -529,37 +507,30 @@ def cross_freq_moment_quad(fs: PiecewisePoly, fd: PiecewisePoly, *,
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=64)
-def _g_half_profile(n: int) -> PiecewisePoly:
-    # (1 - y)^n on [0, 1]
-    return PiecewisePoly.single(0, 1, Polynomial.of([1, -1]) ** n)
-
-
-def F_sq_integral(n: int, *, radius: float = 60.0, rtol: float = 1e-9,
-                  drop_tol: float = 1e-8) -> QuadratureResult:
+def F_sq_integral(n: int) -> QuadratureResult:
     """``int_R F_n(eta)^2 d eta``; equals pi/(2n+1) by Plancherel.
 
     F_n(eta) = int_0^1 (1 - y)^n cos(eta y) dy is the real part of the
     half-profile transform A, so ``F_n^2 = Re(A^2)/2 + |A|^2/2`` and both
-    tail pieces reduce to the same sine/cosine-integral machinery (one
-    without conjugation, one with).
+    tail pieces reduce to the same sine/cosine-integral machinery: A^2 is
+    A times the conjugate of the transform of the mirrored terms.
     """
-    g = _g_half_profile(n)
+    g = PiecewisePoly.single(0, 1, Polynomial.of([1, -1]) ** n)  # (1 - y)^n
     terms = knot_expansion(g)
-    [(t_sq, d_sq)] = _tail_sums(_product_terms(terms, terms, conjugate_second=False),
-                                (0,), radius, drop_tol)
-    [(t_abs, d_abs)] = _tail_sums(_product_terms(terms, terms), (0,), radius, drop_tol)
+    mirrored = [KnotTerm(-t.position, t.power, t.coeff.conjugate()) for t in terms]
+    [(t_sq, d_sq)] = _tail_sums(_product_terms(terms, mirrored), (0,), _F_SQ_RADIUS)
+    [(t_abs, d_abs)] = _tail_sums(_product_terms(terms, terms), (0,), _F_SQ_RADIUS)
     tail = 0.5 * t_sq.real + 0.5 * t_abs.real
 
     def rows(eta):
         v = fourier_eval(g, eta).real
         return [v * v]
 
-    [(head, head_err, panels)] = _head_quad(rows, 0.0, radius, rtol,
-                                            _initial_panels(radius, 1.0))
+    [(head, head_err, panels)] = _head_quad(rows, 0.0, _F_SQ_RADIUS,
+                                            _initial_panels(_F_SQ_RADIUS, 1.0))
     value = 2.0 * head + 2.0 * tail
     est = 2.0 * head_err + 0.5 * (d_sq + d_abs) + abs(t_abs.imag)
-    return QuadratureResult(value, est, radius, panels)
+    return QuadratureResult(value, est, panels)
 
 
 # ---------------------------------------------------------------------------
@@ -567,8 +538,7 @@ def F_sq_integral(n: int, *, radius: float = 60.0, rtol: float = 1e-9,
 # ---------------------------------------------------------------------------
 
 
-def atom_freq_mean(envelope: PiecewisePoly, params, *, radius: float = 40.0,
-                   rtol: float = 1e-9, drop_tol: float = 1e-8) -> QuadratureResult:
+def atom_freq_mean(envelope: PiecewisePoly, params) -> QuadratureResult:
     """Frequency mean of ``env((x - u)/t) e^{2 pi i xi x}`` by quadrature.
 
     The modulated-atom spectrum is the envelope spectrum translated to
@@ -580,7 +550,7 @@ def atom_freq_mean(envelope: PiecewisePoly, params, *, radius: float = 40.0,
     """
     t = float(params.t)
     xi = float(params.xi)
-    m0 = quad_freq_moment(envelope, 0, radius=radius, rtol=rtol, drop_tol=drop_tol)
+    m0 = quad_freq_moment(envelope, 0)
     denom = TWO_PI * m0.value  # int |env_hat|^2
 
     def rows(eta):
@@ -588,9 +558,9 @@ def atom_freq_mean(envelope: PiecewisePoly, params, *, radius: float = 40.0,
         return [eta * (fh.real**2 + fh.imag**2)]
 
     lo, hi = envelope.support
-    panels0 = 2 * _initial_panels(radius, float(hi - lo))
-    [(first, first_err, panels)] = _head_quad(rows, -radius, radius, rtol, panels0,
-                                              scale_floor=denom * radius)
+    panels0 = 2 * _initial_panels(_RADIUS, float(hi - lo))
+    [(first, first_err, panels)] = _head_quad(rows, -_RADIUS, _RADIUS, panels0,
+                                              scale_floor=denom * _RADIUS)
     value = TWO_PI * xi + first / (t * denom)
     est = (first_err + abs(first / denom) * TWO_PI * m0.abs_error_estimate) / (t * denom)
-    return QuadratureResult(value, est, radius, max(m0.panels, panels))
+    return QuadratureResult(value, est, max(m0.panels, panels))

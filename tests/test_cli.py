@@ -168,6 +168,12 @@ class TestTables:
         _, second, _ = run(capsys, "dict-table", "--family", "G", "--n-max", "6")
         assert first == second
 
+    def test_dict_table_header_precedes_refusal(self, capsys):
+        code, out, err = run(capsys, "dict-table", "--n-max", "0")
+        assert code == 2
+        assert out == "family,n,sigma_x2,sigma_w2,U,U_float\n"
+        assert err == "error: n_max must be >= 1\n"
+
     def test_rect_scan_layout(self, capsys):
         code, out, _ = run(capsys, "rect-scan", "--p-min", "2", "--p-max", "4")
         assert code == 0

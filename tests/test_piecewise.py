@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pwuncert.bspline import rect_p_explicit
-from pwuncert.moments import is_finite, sigma_w2
+from pwuncert.moments import is_finite, report, sigma_w2
 from pwuncert.piecewise import (
     FunctionClass,
     JumpDiscontinuityError,
@@ -18,7 +18,7 @@ from pwuncert.piecewise import (
     tent,
 )
 from pwuncert.poly import Polynomial
-from pwuncert.symmetry import asymmetric_cubic
+from pwuncert.symmetry import asymmetric_cubic, theorem_bound_check
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 
@@ -277,6 +277,18 @@ class TestClassification:
         skew = tent() + PiecewisePoly.single(0, 1, Polynomial.of([0, c, -c]))
         assert skew.classify(tol).family == FunctionClass.F_PLUS_ZERO
         assert skew.classify(2 * tol).family == FunctionClass.P_PLUS_ZERO
+
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, -1e-9])
+    def test_tolerance_outside_zero_to_inf_refused(self, cubic, tol):
+        entry_points = (lambda: cubic.classify(tol),
+                        lambda: report(cubic, class_tol=tol),
+                        lambda: sigma_w2(cubic, tol),
+                        lambda: theorem_bound_check(cubic, class_tol=tol))
+        for call in entry_points:
+            with pytest.raises(ValueError, match=r"^class tolerance must be "
+                                                 r"finite and >= 0, got "):
+                call()
+        assert tent().classify(-0.0).family == FunctionClass.P_PLUS_ZERO
 
     @example(asymmetric_cubic(), 1, 0.0)
     @example(asymmetric_cubic(), 1, 1e-10)

@@ -57,11 +57,10 @@ class TestEvaluation:
         p = Polynomial.of([-1, 0, 3])  # 3x^2 - 1
         assert p(Fraction(2, 7)) == Fraction(3 * 4, 49) - 1
 
-    def test_float_input_gives_float(self):
-        assert isinstance(X(0.5), float)
-
-    def test_complex_input_gives_complex(self):
-        assert X(1j) == 1j
+    def test_float_and_complex_input_raise(self):
+        for x in (0.5, 2.0, 1j):
+            with pytest.raises(TypeError, match="exact rational"):
+                X(x)
 
     @given(polys, polys, rationals)
     @settings(max_examples=60, deadline=None)

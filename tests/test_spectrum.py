@@ -1,5 +1,7 @@
+import inspect
 import math
 import random
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -170,6 +172,12 @@ class TestFrequencyMoments:
         with pytest.raises(ValueError):
             spectrum.quad_freq_moment(tent(), 1)
 
+    @pytest.mark.parametrize("f", [tent(), rect_p_explicit(3), asymmetric_cubic()])
+    def test_cross_moment_of_a_function_with_itself(self, f):
+        # one routine serves both: the same value, estimate and panels
+        assert (spectrum.cross_freq_moment_quad(f, f)
+                == spectrum.quad_freq_moment(f, 2))
+
     def test_cross_moment_against_derivative_inner_product(self):
         # for real even f, g the mixed moment reduces to int f' g' by the
         # Plancherel pairing, computable exactly on the space side
@@ -223,19 +231,35 @@ class TestPieceDataOnIntegers:
     @settings(max_examples=150, deadline=None)
     def test_bit_for_bit_against_fraction_reference(self, f):
         # repr tells -0.0 from 0.0 and prints every float exactly
-        assert repr(spectrum._piece_data.__wrapped__(f)) == repr(reference_piece_data(f))
-        assert repr(spectrum.knot_expansion.__wrapped__(f)) == repr(
-            reference_knot_expansion(f))
+        assert repr(spectrum._spectral_data.__wrapped__(f)) == repr(
+            (reference_piece_data(f), reference_knot_expansion(f)))
 
     def test_interior_zero_piece_and_high_degree(self):
         gap = PiecewisePoly.from_pieces(
             [-2, -1, 1, 2], [Polynomial.of([2, 1]), ZERO, Polynomial.of([2, -1])])
         assert gap.pieces[1].is_zero()
         for f in (gap, rect_p_explicit(12), envelope(DictionaryId("G", 5))):
-            assert repr(spectrum._piece_data.__wrapped__(f)) == repr(
-                reference_piece_data(f))
-            assert repr(spectrum.knot_expansion.__wrapped__(f)) == repr(
-                reference_knot_expansion(f))
+            assert repr(spectrum._spectral_data.__wrapped__(f)) == repr(
+                (reference_piece_data(f), reference_knot_expansion(f)))
+
+    def test_one_integer_pass_per_piece(self, monkeypatch):
+        calls = []
+        real = spectrum._centred
+
+        def counting(a, b, coeffs):
+            calls.append((a, b))
+            return real(a, b, coeffs)
+
+        monkeypatch.setattr(spectrum, "_centred", counting)
+        # coefficients no other test uses, so no cache holds this function
+        f = PiecewisePoly.from_pieces(
+            [Fraction(-7, 13), Fraction(2, 11), Fraction(19, 17)],
+            [Polynomial.of([Fraction(997, 3), 5]),
+             Polynomial.of([Fraction(31, 29), 0, 1])])
+        spectrum.knot_expansion(f)
+        spectrum.fourier_eval(f, GRID)
+        spectrum.knot_expansion(f)
+        assert calls == [(a, b) for a, b, _ in f.intervals()]
 
 
 class TestIndependence:
@@ -252,8 +276,7 @@ class TestIndependence:
 
         for name in ("compose_affine", "taylor_shift", "__call__", "derivative"):
             monkeypatch.setattr(Polynomial, name, refuse)
-        spectrum._piece_data.cache_clear()
-        spectrum.knot_expansion.cache_clear()
+        spectrum._spectral_data.cache_clear()
         for f in [*smooth, gap]:
             spectrum.knot_expansion(f)
             spectrum.fourier_eval(f, GRID)
@@ -308,6 +331,14 @@ class TestConvergenceEvidence:
             assert res.panels >= 16  # at least one doubling of >= 8 panels
         zero = spectrum.quad_freq_moment(PiecewisePoly.zero(), 0)
         assert (zero.value, zero.panels) == (0.0, 0)
+
+    def test_no_settable_quadrature_parameters(self):
+        assert [fl.name for fl in fields(spectrum.QuadratureResult)] == [
+            "value", "abs_error_estimate", "panels"]
+        for fn, n in ((spectrum.quad_freq_moment, 2), (spectrum.quad_sigma_w2, 1),
+                      (spectrum.cross_freq_moment_quad, 2),
+                      (spectrum.F_sq_integral, 1), (spectrum.atom_freq_mean, 2)):
+            assert len(inspect.signature(fn).parameters) == n, fn.__name__
 
     def test_no_doubling_allowed_raises(self, monkeypatch):
         monkeypatch.setattr(spectrum, "_MAX_DOUBLINGS", 0)
