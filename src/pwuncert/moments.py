@@ -157,17 +157,16 @@ def sigma_w2(f: PiecewisePoly, class_tol: float = 0.0) -> ExtReal:
 
 
 def uncertainty(f: PiecewisePoly, class_tol: float = 0.0) -> ExtReal:
-    sx = sigma_x2(f)
-    if sx <= 0:
-        # impossible for a nonzero piecewise polynomial; guards 0 * inf
-        raise ArithmeticError("sigma_x2 must be positive")
-    return ext_mul(sx, sigma_w2(f, class_tol))
+    return report(f, class_tol, classify=False).uncertainty
 
 
 def report(
     f: PiecewisePoly, class_tol: float = 0.0, classify: bool = True
 ) -> MomentsReport:
     sx = sigma_x2(f)
+    if sx <= 0:
+        # impossible for a nonzero piecewise polynomial; guards 0 * inf
+        raise ArithmeticError("sigma_x2 must be positive")
     sw = sigma_w2(f, class_tol)
     return MomentsReport(
         norm_sq=norm_sq(f),

@@ -53,8 +53,10 @@ class ClassTag:
 
     The nonnegativity step evaluates each piece exactly on a dyadic grid of
     2**6 + 1 points (plus interval endpoints).  A negative sample disproves
-    nonnegativity; an all-clear is advisory rather than a proof, which is
-    acceptable because downstream math never relies on the sign.
+    nonnegativity; an all-clear is advisory rather than a proof, so a dip
+    between grid points is missed.  The moments never rely on the sign, but
+    `symmetry.theorem_bound_check`'s class gate and
+    `symmetry.random_f_plus_zero` do.
     """
 
     family: FunctionClass

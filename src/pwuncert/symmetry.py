@@ -132,8 +132,9 @@ class BoundReport:
 
     All three boolean verdicts are reported rather than asserted, so an
     uncentered run can document a failing bound without raising.
-    ``cs_rhs`` is the weighted Cauchy-Schwarz right-hand side
-    ``(w*sqrt(U_d) + (1-w)*sqrt(U_s))**2`` in double precision.
+    ``cs_ok`` is decided on exact rationals; ``cs_rhs``, the weighted
+    Cauchy-Schwarz right-hand side ``(w*sqrt(U_d) + (1-w)*sqrt(U_s))**2`` in
+    double precision, is for display only.
     """
 
     centered: bool
@@ -152,9 +153,6 @@ class BoundReport:
         return self.cs_ok and self.min_ok and self.decompositions_ok
 
 
-_CS_SLACK = 1e-12
-
-
 def theorem_bound_check(f: PiecewisePoly, *, center: bool = True,
                         class_tol: float = 0.0) -> BoundReport:
     """Check the reflection lower bounds on the uncertainty product.
@@ -166,11 +164,13 @@ def theorem_bound_check(f: PiecewisePoly, *, center: bool = True,
         sigma_x^2[f] = w*sigma_x^2[f_d] + (1-w)*sigma_x^2[f_s],
         sigma_w^2[f] = w*sigma_w^2[f_d] + (1-w)*sigma_w^2[f_s],
         U[f] >= min(U[f_s], U[f_d]),
+        U[f] >= (w*sqrt(U[f_d]) + (1-w)*sqrt(U[f_s]))**2,
 
-    and, with double-precision square roots and ``1e-12`` slack, the
-    weighted Cauchy-Schwarz bound.  ``center=False`` splits the given
-    coordinates about the origin as they stand; the identities are then not
-    guaranteed, and the verdicts record whether they happen to hold.
+    the last without square roots: with gap = U - w^2 U_d - (1-w)^2 U_s it
+    holds iff gap >= 0 and gap^2 >= 4 w^2 (1-w)^2 U_d U_s (a zero half drops
+    its terms, and the product term is then 0).  ``center=False`` splits the
+    given coordinates about the origin as they stand; the identities are then
+    not guaranteed, and the verdicts record whether they happen to hold.
 
     The input must be continuous, nonnegative and zero at its support
     boundary (within ``class_tol``), which also guarantees every variance
@@ -187,33 +187,29 @@ def theorem_bound_check(f: PiecewisePoly, *, center: bool = True,
     pair = reflections(g, "origin")
     rep = report(g, class_tol=class_tol, classify=False)
 
-    halves = {}
-    for name, half in (("s", pair.f_s), ("d", pair.f_d)):
-        halves[name] = (None if half.is_zero()
-                        else report(half, class_tol=class_tol, classify=False))
-    rs, rd = halves["s"], halves["d"]
-    u_s: ExtReal = rs.uncertainty if rs is not None else math.inf
-    u_d: ExtReal = rd.uncertainty if rd is not None else math.inf
     w = pair.w
+    rs, rd = (None if half.is_zero()
+              else report(half, class_tol=class_tol, classify=False)
+              for half in (pair.f_s, pair.f_d))
+    # (weight, report) of each nonzero half
+    halves = [(a, r) for a, r in ((w, rd), (1 - w, rs)) if r is not None]
+    u_s, u_d = (math.inf if r is None else r.uncertainty for r in (rs, rd))
 
     min_ok = rep.uncertainty >= min(u_s, u_d)
+
+    # U >= (sum a*sqrt(U_i))**2  iff  gap >= 0 and gap**2 >= 4*prod a**2*U_i
+    terms = [a * a * r.uncertainty for a, r in halves]
+    gap = rep.uncertainty - sum(terms)
+    cs_ok = gap >= 0 and gap * gap >= (4 * math.prod(terms) if len(terms) == 2 else 0)
 
     sqrt_s = math.sqrt(json_float("uncertainty_s", u_s)) if rs is not None else 0.0
     sqrt_d = math.sqrt(json_float("uncertainty_d", u_d)) if rd is not None else 0.0
     cs_rhs = (float(w) * sqrt_d + float(1 - w) * sqrt_s) ** 2
-    cs_ok = json_float("uncertainty", rep.uncertainty) >= cs_rhs - _CS_SLACK
 
-    mix_x = sum(
-        weight * r.sigma_x2
-        for weight, r in ((w, rd), (1 - w, rs))
-        if r is not None
+    decompositions_ok = (
+        rep.sigma_x2 == sum(a * r.sigma_x2 for a, r in halves)
+        and rep.sigma_w2 == sum(a * r.sigma_w2 for a, r in halves)
     )
-    mix_w = sum(
-        weight * r.sigma_w2
-        for weight, r in ((w, rd), (1 - w, rs))
-        if r is not None
-    )
-    decompositions_ok = rep.sigma_x2 == mix_x and rep.sigma_w2 == mix_w
 
     return BoundReport(
         centered=center,
@@ -291,9 +287,9 @@ def random_f_plus_zero(rng: random.Random) -> PiecewisePoly:
     A random grid of up to 5 knots gets nonnegative values (zero at the
     endpoints); each piece interpolates them linearly plus a random cubic
     bump vanishing at both piece ends, so continuity and the boundary zeros
-    hold by construction and the degree stays at most 4.  If the sample
-    probe still detects a negative dip, the whole function is squared, which
-    preserves the class constraints.
+    hold by construction and the degree stays at most 4.  If `classify`
+    still finds a negative dip (class F_supp), the whole function is
+    squared, which preserves the class constraints.
     """
     while True:
         n_knots = rng.randint(2, 5)
@@ -325,6 +321,6 @@ def random_f_plus_zero(rng: random.Random) -> PiecewisePoly:
         f = PiecewisePoly.from_pieces(list(knots), pieces)
         if f.is_zero():
             continue
-        if not f._nonneg_on_grid(0.0):
+        if f.classify().family is FunctionClass.F_SUPP:
             f = f * f
         return f

@@ -4,6 +4,7 @@ import json
 import pytest
 
 from pwuncert import cli, verify
+from pwuncert.spectrum import QuadratureConvergenceError
 
 
 def run(capsys, *argv):
@@ -253,3 +254,20 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--filter", "doomed")
         assert code == 1
         assert "[FAIL] broken claim: expected 0, got 1" in out
+
+    def test_arithmetic_error_in_a_group_is_a_failing_row(self, capsys,
+                                                          monkeypatch):
+        def diverging():
+            raise QuadratureConvergenceError("no convergence at 4096 panels")
+
+        passing = [verify.CheckResult("fine claim", "0", "0", True)]
+        monkeypatch.setitem(verify.CHECK_GROUPS, "doomed", diverging)
+        monkeypatch.setitem(verify.CHECK_GROUPS, "doomed-not", lambda: passing)
+        code, out, _ = run(capsys, "verify", "--filter", "doomed")
+        assert code == 1
+        assert out.splitlines() == [
+            "[FAIL] doomed group: expected no error, got "
+            "QuadratureConvergenceError: no convergence at 4096 panels",
+            "[PASS] fine claim: expected 0, got 0",
+            "1/2 checks passed",
+        ]
