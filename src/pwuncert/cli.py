@@ -42,6 +42,10 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
+# Caps above every function built here: rect^64 has 64 pieces, envelopes degree 100.
+MAX_PIECES = 128
+MAX_DEGREE = 128
+
 
 class InputError(ValueError):
     """Unusable input: unreadable file, malformed descriptor, bad rational or
@@ -58,7 +62,12 @@ def _load_function(path: str) -> PiecewisePoly:
     except OSError as exc:
         raise InputError(f"cannot read {path!r}: {exc}") from exc
     try:
-        return PiecewisePoly.from_json(text)
+        obj = json.loads(text)
+        pieces = obj.get("pieces") if isinstance(obj, dict) else None
+        if isinstance(pieces, list) and (len(pieces) > MAX_PIECES or any(
+                isinstance(p, list) and len(p) > MAX_DEGREE + 1 for p in pieces)):
+            raise ValueError(f"over the caps: {MAX_PIECES} pieces, degree {MAX_DEGREE}")
+        return PiecewisePoly.from_json_dict(obj)
     except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
         raise InputError(f"bad function descriptor in {path!r}: {exc}") from exc
 

@@ -14,19 +14,16 @@ integer kernel, which also serves `moment`.
 """
 from __future__ import annotations
 
-import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from itertools import accumulate
+from typing import Iterable, Sequence
 
-from .poly import ZERO, Polynomial, RationalLike, rat, rat_str
-
-# Dyadic sample count per piece used by the advisory nonnegativity check.
-_GRID_POINTS_PER_PIECE = 2**6 + 1
+from .poly import ZERO, Polynomial, RationalLike, rat, rat_str, shift_one
 
 
 class SupportError(ValueError):
@@ -49,15 +46,8 @@ class FunctionClass(str, Enum):
 
 @dataclass(frozen=True)
 class ClassTag:
-    """Classification report: most specific class plus the raw evidence.
-
-    The nonnegativity step evaluates each piece exactly on a dyadic grid of
-    2**6 + 1 points (plus interval endpoints).  A negative sample disproves
-    nonnegativity; an all-clear is advisory rather than a proof, so a dip
-    between grid points is missed.  The moments never rely on the sign, but
-    `symmetry.theorem_bound_check`'s class gate and
-    `symmetry.random_f_plus_zero` do.
-    """
+    """Classification report: most specific class, decided exactly (no
+    sampling), plus the raw knot evidence."""
 
     family: FunctionClass
     interior_jumps: tuple[Fraction, ...]
@@ -283,49 +273,36 @@ class PiecewisePoly:
 
     # -- classification ---------------------------------------------------
 
-    def _grid_samples(self) -> Iterator[tuple[list[int], int]]:
-        """Each piece evaluated exactly on its dyadic grid, ends included.
-
-        The grid points are a + i*(b - a)/64 for i = 0..64.  Substituting
-        x = a + t*(b - a)/64 once per piece gives q(t) = ints(t) / den, whose
-        integer coefficients are evaluated at the integers t = 0..64.  Each
-        piece yields (accs, den) with den > 0 and p(x) = acc / den at its 65
-        points, so a tolerance test is exact: no sample is rounded.
-        """
-        last = _GRID_POINTS_PER_PIECE - 1
-        for a, b, p in self.intervals():
-            ints, den = p.compose_affine((b - a) / last, a).cleared
-            accs = []
-            for t in range(_GRID_POINTS_PER_PIECE):
-                acc = 0
-                for c in reversed(ints):
-                    acc = acc * t + c
-                accs.append(acc)
-            yield accs, den
-
-    def _nonneg_on_grid(self, tol: float) -> bool:
+    def _at_least(self, tol: float) -> bool:
+        """f >= -tol, exactly: with x = a + t (b - a) and tol = tn / td, each
+        piece's td * ints(t) + tn * den is >= 0 on [0, 1]."""
         tn, td = tol.as_integer_ratio()
-        return all(min(accs) * td >= -tn * den for accs, den in self._grid_samples())
+        for a, b, p in self.intervals():
+            ints, den = p.compose_affine(b - a, a).cleared
+            q = [td * c for c in ints] or [0]
+            q[0] += tn * den
+            if not _nonneg_on_unit(q):
+                return False
+        return True
 
     def _even_about_midpoint(self, tol: float) -> bool:
         lo, hi = self.support
         mirrored = self.reflect((lo + hi) / 2)
         if tol == 0:
             return self == mirrored
-        tn, td = tol.as_integer_ratio()
-        return all(max(map(abs, accs)) * td <= tn * den
-                   for accs, den in (self - mirrored)._grid_samples())
+        odd = self - mirrored
+        return odd._at_least(tol) and (-odd)._at_least(tol)
 
     def classify(self, tol: float = 0.0) -> ClassTag:
-        """Most specific class tag; `tol > 0` relaxes the jump, boundary-zero
-        and evenness tests to that absolute tolerance (for inputs whose
-        coefficients carry printed-decimal roundoff)."""
+        """Most specific class tag, decided exactly; `tol > 0` relaxes the
+        jump, sign (f >= -tol), boundary-zero and evenness tests to that
+        absolute tolerance (for printed-decimal roundoff in coefficients)."""
         jumps, boundary = self.knot_evidence
         tag = lambda family: ClassTag(family, tuple(k for k, _ in jumps), boundary)
         jump, edge = self.knot_obstructions(tol)
         if jump:
             return tag(FunctionClass.NONE)
-        if not self._nonneg_on_grid(tol):
+        if not self._at_least(tol):
             return tag(FunctionClass.F_SUPP)
         if edge:
             return tag(FunctionClass.F_PLUS_SUPP)
@@ -350,20 +327,60 @@ class PiecewisePoly:
             raise SupportError(f"descriptor missing field: {exc}") from exc
         # a JSON string is iterable too, and would be read digit by digit
         if not (isinstance(bps, list) and isinstance(pieces, list)
-                and all(isinstance(p, list) for p in pieces)):
-            raise SupportError(
-                "descriptor breakpoints, pieces and each piece must be lists")
+                and all(isinstance(p, list) for p in pieces)
+                and len(bps) == len(pieces) + 1):
+            raise SupportError("descriptor breakpoints, pieces and each piece "
+                               "must be lists, with one more breakpoint")
         return PiecewisePoly.from_pieces(bps, [Polynomial.of(p) for p in pieces])
-
-    @staticmethod
-    def from_json(text: str) -> PiecewisePoly:
-        return PiecewisePoly.from_json_dict(json.loads(text))
 
     def __repr__(self) -> str:
         parts = ", ".join(
             f"[{a},{b}): {p!r}" for a, b, p in self.intervals()
         )
         return f"PiecewisePoly({parts})"
+
+
+def _nonneg_on_unit(q: list[int]) -> bool:
+    """Whether the integer polynomial q (low degree first) is >= 0 on [0, 1].
+
+    Roots at t = 0 and 1 are divided out (t, 1 - t > 0 inside); then q(0)
+    must be positive.  q >= 0 if its Bernstein coefficients are: up to positive
+    binomials, the coefficients of rev(q)(s + 1).  Else q >= 0 iff no root in
+    (0, 1) has odd multiplicity.  With g_0 = q and g_(k+1) = gcd(g_k, g_k'),
+    the last member of g_k's Sturm chain, D(g_k) = V(0) - V(1) counts the
+    roots of multiplicity > k, so D(g_0) - D(g_1) + ... counts the odd ones.
+    """
+    while len(q) > 1 and not q[0]:
+        q = q[1:]  # q / t
+    while len(q) > 1 and not sum(q):
+        q = list(accumulate(q))[:-1]  # q / (1 - t)
+    if q[0] < 0:
+        return False
+    if min(shift_one(q[::-1])) >= 0:
+        return True
+    odd, sign = 0, 1
+    while len(q) > 1:
+        chain = [q, [k * c for k, c in enumerate(q) if k]]
+        while len(chain[-1]) > 1 and (r := _remainder(*chain[-2:])):
+            chain.append([-c for c in r])
+        for value, weight in ((lambda g: g[0], sign), (sum, -sign)):
+            signs = [v > 0 for v in map(value, chain) if v]  # V(0), then V(1)
+            odd += weight * sum(x != y for x, y in zip(signs, signs[1:]))
+        sign, q = -sign, chain[-1]
+    return odd == 0
+
+
+def _remainder(a: list[int], b: list[int]) -> list[int]:
+    """A positive multiple of a mod b, over the gcd of its coefficients."""
+    m, s = abs(b[-1]), 1 if b[-1] > 0 else -1
+    while len(a) >= len(b):
+        top, shift = a[-1] * s, len(a) - len(b)  # m * a - top * x^shift * b
+        a = [m * c - (top * b[i - shift] if i >= shift else 0)
+             for i, c in enumerate(a[:-1])]
+        while a and not a[-1]:
+            a.pop()
+    g = math.gcd(*a)
+    return [c // g for c in a] if g > 1 else a
 
 
 def _cleared(p: Polynomial, squared: bool) -> tuple[Sequence[int], int]:

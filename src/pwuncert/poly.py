@@ -25,6 +25,10 @@ from typing import Iterable, Union
 
 RationalLike = Union[Fraction, int, str]
 
+# "1e1000000000" would build 10**(10**9).  4300 is CPython's default integer
+# digit limit (sys.get_int_max_str_digits is missing before 3.10.7).
+MAX_DECIMAL_EXPONENT = 4300
+
 
 def rat(value: RationalLike) -> Fraction:
     """Coerce ints, Fractions and decimal/ratio strings to an exact Fraction."""
@@ -32,6 +36,11 @@ def rat(value: RationalLike) -> Fraction:
         return value
     if isinstance(value, bool):
         raise TypeError("bool is not a rational")
+    if isinstance(value, str) and "e" in value.lower():
+        exp = value.lower().partition("e")[2].replace("_", "").strip().lstrip("+-0")
+        if exp.isdecimal() and int(exp[:5]) > MAX_DECIMAL_EXPONENT:
+            raise ValueError(f"decimal exponent beyond {MAX_DECIMAL_EXPONENT}: "
+                             f"{value!r}")
     if isinstance(value, (int, str)):
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
@@ -151,10 +160,7 @@ class Polynomial:
         d = self.degree
         rn, rd = r.numerator or 1, r.denominator
         if r:
-            b = [c * rn**k * rd**(d - k) for k, c in enumerate(b)]
-            for i in range(d):
-                for j in range(d - 1, i - 1, -1):
-                    b[j] += b[j + 1]
+            b = shift_one([c * rn**k * rd**(d - k) for k, c in enumerate(b)])
         sn, sd = s.numerator, s.denominator
         return Polynomial.of(
             Fraction(sn**m * (c // rn**m), den * sd**m * rd**(d - m))
@@ -194,6 +200,14 @@ class Polynomial:
         if self.is_zero():
             return "Polynomial(0)"
         return "Polynomial([" + ", ".join(map(rat_str, self.coeffs)) + "])"
+
+
+def shift_one(b: list[int]) -> list[int]:
+    """b(y + 1) in place, low degree first, by integer additions only."""
+    for i in range(len(b) - 1):
+        for j in range(len(b) - 2, i - 1, -1):
+            b[j] += b[j + 1]
+    return b
 
 
 ZERO = Polynomial(())

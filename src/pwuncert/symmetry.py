@@ -287,9 +287,9 @@ def random_f_plus_zero(rng: random.Random) -> PiecewisePoly:
     A random grid of up to 5 knots gets nonnegative values (zero at the
     endpoints); each piece interpolates them linearly plus a random cubic
     bump vanishing at both piece ends, so continuity and the boundary zeros
-    hold by construction and the degree stays at most 4.  If `classify`
-    still finds a negative dip (class F_supp), the whole function is
-    squared, which preserves the class constraints.
+    hold by construction and the degree stays at most 4.  The bump can dip
+    below zero; `classify` decides the sign exactly, and a draw it puts in
+    F_supp is squared, which keeps continuity and the boundary zeros.
     """
     while True:
         n_knots = rng.randint(2, 5)

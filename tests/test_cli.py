@@ -4,6 +4,7 @@ import json
 import pytest
 
 from pwuncert import cli, verify
+from pwuncert.bspline import rect_p_explicit
 from pwuncert.spectrum import QuadratureConvergenceError
 
 
@@ -77,6 +78,31 @@ class TestErrorPaths:
             code, _, err = run(capsys, "moments", str(path))
             assert code == 2
             assert "descriptor" in err
+
+    def test_decimal_exponent_bomb(self, capsys, tmp_path):
+        # "1e1000000000" would build a 415 MB integer; 1e100000 stands in for
+        # it, since unguarded it still takes only about 0.03 s
+        path = tmp_path / "bomb.json"
+        path.write_text('{"breakpoints": ["0", "1"], "pieces": [["1e100000"]]}')
+        code, out, err = run(capsys, "moments", str(path))
+        assert (code, out) == (2, "")
+        assert "decimal exponent beyond 4300: '1e100000'" in err
+
+    def test_size_caps(self, capsys, tmp_path):
+        path = tmp_path / "big.json"
+        n, d = cli.MAX_PIECES, cli.MAX_DEGREE
+        for bps, pieces in ((range(n + 2), [["1"]] * (n + 1)),
+                            ([0, 1], [["1"] * (d + 2)])):
+            path.write_text(json.dumps({"breakpoints": [str(b) for b in bps],
+                                        "pieces": pieces}))
+            code, out, err = run(capsys, "moments", str(path))
+            assert (code, out) == (2, "")
+            assert f"over the caps: {n} pieces, degree {d}" in err
+        # the largest function built here, rect^64, is under both caps
+        path.write_text(json.dumps(rect_p_explicit(64).to_json_dict()))
+        code, out, _ = run(capsys, "moments", str(path))
+        assert code == 0
+        assert json.loads(out)["class"] == "P_plus_zero"
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "moments", "/nonexistent/f.json")

@@ -1,7 +1,6 @@
 import json
 import math
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -15,6 +14,7 @@ from pwuncert.piecewise import (
     PiecewisePoly,
     SupportError,
     _cleared,
+    _nonneg_on_unit,
     tent,
 )
 from pwuncert.poly import Polynomial
@@ -265,8 +265,8 @@ class TestClassification:
         assert not is_finite(sigma_w2(tiny))
         assert tiny.knot_obstructions(1e-10) == (False, False)
 
-    def test_grid_below_float_range(self):
-        # -1e-400 rounds to -0.0, but the exact sample is still negative
+    def test_sign_below_float_range(self):
+        # -1e-400 rounds to -0.0, but the exact sign test sees it
         tiny = PiecewisePoly.single(0, 1, Polynomial.of(["-1e-400"]))
         assert tiny.classify().family == FunctionClass.F_SUPP
         assert tiny.classify(1e-10).family == FunctionClass.P_PLUS_ZERO
@@ -314,53 +314,90 @@ def reference_obstructions(f, tol):
     return jump, edge
 
 
-def reference_grid(f):
-    """The 65-point grid of each piece by Fraction arithmetic, in the
-    (numerators, common denominator) form of `_grid_samples`."""
-    for a, b, p in f.intervals():
-        step = (b - a) / 64
-        values = []
-        for i in range(65):
-            x = a + i * step
-            acc = Fraction(0)
-            for c in reversed(p.coeffs):
-                acc = acc * x + c
-            values.append(acc)
-        den = math.lcm(*(v.denominator for v in values))
-        yield [v.numerator * (den // v.denominator) for v in values], den
+def sign_truth(a, b, c, roots):
+    """Whether c * prod (x - r)^m >= 0 on [a, b], from the known roots: the
+    sign at the midpoint of each stretch between interior roots."""
+    cuts = sorted({a, b} | {r for r, _ in roots if a < r < b})
+    return all(c * math.prod(((lo + hi) / 2 - r) ** m for r, m in roots) > 0
+               for lo, hi in zip(cuts, cuts[1:]))
 
 
-def exact_grid(samples):
-    return [[Fraction(acc, den) for acc in accs] for accs, den in samples]
+small = st.fractions(min_value=-3, max_value=3, max_denominator=6)
 
 
-class TestGrid:
-    @given(piecewise_functions())
-    @settings(max_examples=80, deadline=None)
-    def test_integer_grid_matches_fraction_grid(self, f):
-        assert exact_grid(f._grid_samples()) == exact_grid(reference_grid(f))
-        assert all(den > 0 for _, den in f._grid_samples())
-        tags = [f.classify(tol) for tol in (0.0, 1e-10)]
-        with mock.patch.object(PiecewisePoly, "_grid_samples", reference_grid):
-            assert [f.classify(tol) for tol in (0.0, 1e-10)] == tags
+@st.composite
+def factored(draw):
+    """(a, b, q, truth) with q = c (x^2 + s) prod (x - r_i)^m_i, times an
+    optional near-tangent dip (x - r)^2 -/+ e^2 with e^2 down to 1e-30, and
+    truth whether q >= 0 on [a, b]."""
+    a, b = sorted(draw(st.lists(small, min_size=2, max_size=2, unique=True)))
+    root = st.one_of(st.sampled_from([a, b]), small)  # at the ends, in, out
+    roots = draw(st.lists(st.tuples(root, st.integers(1, 4)), max_size=3))
+    c = draw(st.sampled_from([-2, Fraction(-1, 3), Fraction(1, 2), 3]))
+    s = draw(st.fractions(min_value=0, max_value=2, max_denominator=4))
+    q = Polynomial.of([s, 0, 1]) * c
+    square = [] if s else [(Fraction(0), 2)]  # x^2 + 0 is the double root 0
+    dip = draw(st.sampled_from([None, 1, 3, 15]))
+    if dip is not None:
+        r, e = draw(root), Fraction(1, 10**dip)
+        if draw(st.booleans()):  # (x - r)^2 - e^2: two close simple roots
+            roots = roots + [(r - e, 1), (r + e, 1)]
+        else:
+            q = q * Polynomial.of([r * r + e * e, -2 * r, 1])
+    for r, m in roots:
+        q = q * Polynomial.of([-r, 1]) ** m
+    return a, b, q, sign_truth(a, b, c, roots + square)
+
+
+class TestExactSign:
+    # double roots where the Bernstein coefficients have mixed signs: a
+    # non-alternating root count, or a root at t = 1 left in, rejects them
+    @example((Fraction(0), Fraction(1), Polynomial.of([1, -4, 4]), True))
+    @example((Fraction(0), Fraction(1), Polynomial.of([1, -5, 8, -4]), True))
+    @given(factored())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_roots(self, case):
+        a, b, q, truth = case
+        ints, _ = q.compose_affine(b - a, a).cleared
+        assert _nonneg_on_unit(list(ints)) == truth
+        family = PiecewisePoly.single(a, b, q).classify().family
+        assert (family is not FunctionClass.F_SUPP) == truth
+
+    @given(small, small, st.sampled_from([0, Fraction(1, 2), 1]),
+           st.sampled_from([1e-30, 1e-12, 1e-3]))
+    @settings(max_examples=60, deadline=None)
+    def test_tolerance_exactly_at_a_dip(self, a, b, at, tol):
+        # (x - r)^2 - tol has its minimum -tol at r, an end or the middle
+        assume(a < b)
+        r = a + at * (b - a)
+        dip = Polynomial.of([r * r - Fraction(tol), -2 * r, 1])
+        f = PiecewisePoly.single(a, b, dip)
+        assert f.classify(tol).family is not FunctionClass.F_SUPP
+        assert f.classify(math.nextafter(tol, 0)).family is FunctionClass.F_SUPP
+
+    @pytest.mark.parametrize("p", [16, 32, 64])
+    def test_rect_p_is_an_even_bump(self, p):
+        assert rect_p_explicit(p).classify().family is FunctionClass.P_PLUS_ZERO
 
 
 class TestSerialization:
     def test_json_round_trip(self, cubic):
         for f in (tent(), cubic):
-            assert PiecewisePoly.from_json(json.dumps(f.to_json_dict())) == f
+            assert PiecewisePoly.from_json_dict(
+                json.loads(json.dumps(f.to_json_dict()))) == f
 
     def test_descriptor_missing_field(self):
         for text in (
             '{"breakpoints": ["0", "1"]}',
             '{"breakpoints": ["0", "1"], "pieces": ["12"]}',
             '{"breakpoints": "01", "pieces": [["1"]]}',
+            # the counts are checked before any rational is parsed
+            '{"breakpoints": ["0", "1", "x"], "pieces": [["1"]]}',
         ):
             with pytest.raises(SupportError):
-                PiecewisePoly.from_json(text)
+                PiecewisePoly.from_json_dict(json.loads(text))
 
     def test_descriptor_bad_rational(self):
         with pytest.raises(ValueError):
-            PiecewisePoly.from_json(
-                '{"breakpoints": ["0", "x"], "pieces": [["1"]]}'
-            )
+            PiecewisePoly.from_json_dict(
+                {"breakpoints": ["0", "x"], "pieces": [["1"]]})

@@ -149,6 +149,17 @@ class TestSerialization:
         assert rat("0.25") == Fraction(1, 4)
         assert rat(Fraction(1, 7)) == Fraction(1, 7)
 
+    def test_rat_decimal_exponent_limit(self):
+        # the refused values stay small (10**100000 builds in about 0.03 s),
+        # so a broken guard fails these asserts instead of hanging the suite
+        assert rat("1e4300") == 10**4300
+        assert rat(" -2.5E-04300 ") == Fraction(-25, 10**4301)
+        assert rat("3e0000000000000000000001") == 30
+        for text in ("1e4301", "1e-4301", "1E+100000", " 1e100000\n",
+                     "1e10_0000", "1e00000100000"):
+            with pytest.raises(ValueError, match=r"^decimal exponent beyond 4300: "):
+                rat(text)
+
     def test_rat_rejects_bool_and_float(self):
         with pytest.raises(TypeError):
             rat(True)

@@ -138,10 +138,17 @@ class TestExactCauchySchwarz:
                     assert rep.cs_ok == holds
 
 
-class TestGridWitnesses:
-    """Functions that dip below zero between the 65 grid samples of a piece.
-    Nonnegativity is decided on that grid, so both are still taken as
-    F_plus_zero; an exact sign decision turns these tests into passes."""
+# Case 37 of the default-seed properties population, before squaring: its
+# piece on [3/2, 7/3] is -2.55e-5 near x = 2.32999.
+CASE_37 = {"breakpoints": ["-7/3", "0", "3/4", "3/2", "7/3"],
+           "pieces": [["7/3", "-5/2", "19/6", "2"], ["7/3", "-4/3"],
+                      ["383/192", "-209/288", "-11/24", "1/3"],
+                      ["-21/80", "1357/240", "-113/24", "1"]]}
+
+
+class TestSignWitnesses:
+    """Functions with a dip below zero that a 65-point sample of each piece
+    misses; the exact sign test puts both outside F_plus_zero."""
 
     @staticmethod
     def _assert_outside_f_plus_zero(f: PiecewisePoly) -> None:
@@ -149,8 +156,7 @@ class TestGridWitnesses:
         with pytest.raises(ClassViolationError):
             theorem_bound_check(f)
 
-    @pytest.mark.xfail(strict=True, reason="nonnegativity is grid-sampled")
-    def test_dip_between_grid_points(self):
+    def test_narrow_dip(self):
         # x(1-x)((x - 1/128)^2 - 1e-6) on [0, 1] is -7.75e-9 at x = 1/128
         dip = Polynomial.of([-Fraction(1, 128), 1]) ** 2 - Polynomial.of(
             [Fraction(1, 10**6)])
@@ -158,17 +164,15 @@ class TestGridWitnesses:
         assert f(Fraction(1, 128)) < 0
         self._assert_outside_f_plus_zero(f)
 
-    @pytest.mark.xfail(strict=True, reason="nonnegativity is grid-sampled")
     def test_seeded_population_case_37(self):
-        # case 37 of the default-seed properties population: its piece on
-        # [3/2, 7/3] is -2.55e-5 near x = 2.32999
+        case = PiecewisePoly.from_json_dict(CASE_37)
+        assert case(Fraction(232999, 100000)) < 0
+        self._assert_outside_f_plus_zero(case)
+        # so `random_f_plus_zero` squares that draw, as it does any F_supp one
         rng = random.Random(20240817)
-        f = [random_f_plus_zero(rng) for _ in range(38)][37]
-        assert f.breakpoints[-2:] == (Fraction(3, 2), Fraction(7, 3))
-        assert f.pieces[-1] == Polynomial.of(
-            [Fraction(-21, 80), Fraction(1357, 240), Fraction(-113, 24), 1])
-        assert f(Fraction(232999, 100000)) < 0
-        self._assert_outside_f_plus_zero(f)
+        draw = [random_f_plus_zero(rng) for _ in range(38)][37]
+        assert draw == case * case
+        assert draw.classify().family is FunctionClass.F_PLUS_ZERO
 
 
 class TestNormalization:
@@ -231,9 +235,11 @@ class TestRandomGenerator:
         assert a == b
 
     def test_first_draws_are_frozen(self):
+        # only draw 37 moved when the grid sign test became exact: it dips
+        # below zero (`CASE_37`), so it is now squared
         rng = random.Random(20240817)
         draws = [random_f_plus_zero(rng).to_json_dict() for _ in range(200)]
         digest = hashlib.sha256(
             json.dumps(draws, sort_keys=True).encode()).hexdigest()
         assert digest == (
-            "e0c5f99199f243c15ea6aae1bdccd0c566a4e535a015c2edcc66f7c9b2fe0908")
+            "b4e460b25e521a589b71d57783ca7972bb28d8a02c24b813875b4d756e33cc1e")
