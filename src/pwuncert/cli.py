@@ -117,6 +117,8 @@ def _cmd_moments(args: argparse.Namespace) -> int:
 
 
 def _cmd_dict_table(args: argparse.Namespace) -> int:
+    if args.n_max > MAX_DEGREE:  # envelope n has degree n
+        raise InputError(f"--n-max over the cap: degree {MAX_DEGREE}")
     # a generator, so the header is written before dict_table can refuse n_max
     def rows():
         for r in dict_table(args.family, args.n_max):
@@ -130,6 +132,8 @@ def _cmd_dict_table(args: argparse.Namespace) -> int:
 def _cmd_rect_scan(args: argparse.Namespace) -> int:
     if args.p_min < 2 or args.p_max < args.p_min:
         raise InputError("need 2 <= p-min <= p-max")
+    if args.p_max > MAX_PIECES:  # rect^p has p pieces
+        raise InputError(f"--p-max over the cap: {MAX_PIECES} pieces")
     _emit_csv(["p", "u_p", "nu_p", "U", "U_float"],
               ([r.p, rat_str(r.u_p), rat_str(r.nu_p), rat_str(r.uncertainty),
                 repr(float(r.uncertainty))]
@@ -148,9 +152,8 @@ def _cmd_symmetry_check(args: argparse.Namespace) -> int:
         "f_s": pair.f_s.to_json_dict(),
         "f_d": pair.f_d.to_json_dict(),
     }
-    bound = theorem_bound_check(
-        f, center=not args.no_centering, class_tol=args.class_tol
-    )
+    bound = theorem_bound_check(f, center=args.axis == "barycenter",
+                                class_tol=args.class_tol)
     payload["bound"] = {
         "centered": bound.centered,
         **json_pairs(axis=bound.axis, w=bound.w, uncertainty=bound.uncertainty,
@@ -233,10 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="descriptor path, or - for stdin")
     p.add_argument("--axis", choices=["origin", "barycenter"],
                    default="barycenter",
-                   help="reflection axis for the reported decomposition")
-    p.add_argument("--no-centering", action="store_true",
-                   help="run the bound check about the origin instead of "
-                        "the barycenter")
+                   help="reflection axis of the halves and of the bound check")
     p.add_argument("--class-tol", type=_tolerance, default=0.0)
     p.set_defaults(func=_cmd_symmetry_check)
 

@@ -2,8 +2,8 @@
 
 Splitting a function about an axis c produces two even halves: the s-half
 agrees with f left of c and is mirrored to the right, the d-half keeps the
-right side.  Their masses add to exactly twice the original mass, and after
-centering at the barycenter both the position and the frequency variance of
+right side.  Their masses add to exactly twice the original mass, and when
+the axis is the barycenter both the position and the frequency variance of
 f are exact convex combinations of those of the halves, weighted by the
 half-mass w.  That convexity is what `theorem_bound_check` turns into the
 lower bounds
@@ -12,7 +12,7 @@ lower bounds
     U[f] >= min(U[f_s], U[f_d]),
 
 both of which can fail when the split axis is not the barycenter -- the
-check exposes a switch that reproduces exactly that failure.  The module
+check's ``center=False`` reproduces exactly that failure.  The module
 also quantifies the interaction of the two halves in frequency: the mixed
 moment ``int w^2 fhat_s(w) fhat_d(w) dw`` equals ``2*pi`` times the surplus
 of odd over even derivative energy, so its sign is decided by the balance of
@@ -157,9 +157,8 @@ def theorem_bound_check(f: PiecewisePoly, *, center: bool = True,
                         class_tol: float = 0.0) -> BoundReport:
     """Check the reflection lower bounds on the uncertainty product.
 
-    With ``center=True`` f is first translated so its barycenter sits at 0,
-    then split about the origin.  In that frame the report checks, with
-    exact rational arithmetic,
+    With ``center=True`` f is split about its barycenter c, in f's own
+    frame, and the report checks, with exact rational arithmetic,
 
         sigma_x^2[f] = w*sigma_x^2[f_d] + (1-w)*sigma_x^2[f_s],
         sigma_w^2[f] = w*sigma_w^2[f_d] + (1-w)*sigma_w^2[f_s],
@@ -168,9 +167,13 @@ def theorem_bound_check(f: PiecewisePoly, *, center: bool = True,
 
     the last without square roots: with gap = U - w^2 U_d - (1-w)^2 U_s it
     holds iff gap >= 0 and gap^2 >= 4 w^2 (1-w)^2 U_d U_s (a zero half drops
-    its terms, and the product term is then 0).  ``center=False`` splits the
-    given coordinates about the origin as they stand; the identities are then
-    not guaranteed, and the verdicts record whether they happen to hold.
+    its terms, and the product term is then 0).  No translation is needed:
+    both variances are translation invariant; f_s and f_d are even about c,
+    so their means are c, f's mean; and summed over the halves, the mass and
+    the integrals of (x - c)^2 f_i^2 and of f_i'^2 are each twice f's, so
+    the masses 2(1-w)N and 2wN give the identities.  ``center=False`` splits
+    about the origin; the identities are then not guaranteed, and the
+    verdicts record whether they happen to hold.
 
     The input must be continuous, nonnegative and zero at its support
     boundary (within ``class_tol``), which also guarantees every variance
@@ -182,10 +185,8 @@ def theorem_bound_check(f: PiecewisePoly, *, center: bool = True,
             "bound check needs a continuous nonnegative function vanishing at "
             f"its support boundary; classified as {tag.family.value!r}"
         )
-    axis = barycenter(f) if center else Fraction(0)
-    g = f.translate(-axis) if center else f
-    pair = reflections(g, "origin")
-    rep = report(g, class_tol=class_tol, classify=False)
+    pair = reflections(f, "barycenter" if center else "origin")
+    rep = report(f, class_tol=class_tol, classify=False)
 
     w = pair.w
     rs, rd = (None if half.is_zero()
@@ -213,7 +214,7 @@ def theorem_bound_check(f: PiecewisePoly, *, center: bool = True,
 
     return BoundReport(
         centered=center,
-        axis=axis,
+        axis=pair.axis,
         w=w,
         uncertainty=rep.uncertainty,
         uncertainty_s=u_s,

@@ -207,21 +207,21 @@ def check_cubic_reflections() -> list[CheckResult]:
     out.append(_close("cubic U", 0.328205910036,
                       float(rep.uncertainty), 1e-8))
 
-    origin = reflections(f, "origin")
-    u_s0 = uncertainty(origin.f_s, class_tol=_CUBIC_TOL)
-    u_d0 = uncertainty(origin.f_d, class_tol=_CUBIC_TOL)
-    out.append(_close("origin-axis U[f_s]", 0.488135390966, float(u_s0), 1e-8))
-    out.append(_close("origin-axis U[f_d]", 1.064558791510, float(u_d0), 1e-8))
+    centered, origin = (theorem_bound_check(f, center=c, class_tol=_CUBIC_TOL)
+                        for c in (True, False))
+    out.append(_close("origin-axis U[f_s]", 0.488135390966,
+                      float(origin.uncertainty_s), 1e-8))
+    out.append(_close("origin-axis U[f_d]", 1.064558791510,
+                      float(origin.uncertainty_d), 1e-8))
 
     bary = reflections(f, "barycenter")
     clipped = _window_product(bary.f_s, bary.axis, Fraction(-1), Fraction(1))
     out.append(_close("barycentric U[f_s] (window convention)",
                       0.233608189515, float(clipped), 1e-8))
-    u_s = uncertainty(bary.f_s, class_tol=_CUBIC_TOL)
     out.append(_close("barycentric U[f_s] (unclipped product)",
-                      0.267321709743983948, float(u_s), 1e-12))
-    u_d = uncertainty(bary.f_d, class_tol=_CUBIC_TOL)
-    out.append(_close("barycentric U[f_d]", 0.365009365360, float(u_d), 1e-8))
+                      0.267321709743983948, float(centered.uncertainty_s), 1e-12))
+    out.append(_close("barycentric U[f_d]", 0.365009365360,
+                      float(centered.uncertainty_d), 1e-8))
 
     split = even_odd_split(f)
     out.append(_close("||u_even||^2", 0.675886085,
@@ -231,11 +231,9 @@ def check_cubic_reflections() -> list[CheckResult]:
     cross = 2 * math.pi * float(split.cross_term_exact)
     out.append(_close("cross frequency term", -1.526014699, cross, 1e-6))
 
-    centered = theorem_bound_check(f, class_tol=_CUBIC_TOL)
     out.append(_flag("centered min-bound holds", True,
                      centered.min_ok and centered.ok))
-    uncentered = theorem_bound_check(f, center=False, class_tol=_CUBIC_TOL)
-    out.append(_flag("uncentered min-bound fails", True, not uncentered.min_ok))
+    out.append(_flag("uncentered min-bound fails", True, not origin.min_ok))
     return out
 
 

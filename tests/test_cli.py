@@ -104,6 +104,16 @@ class TestErrorPaths:
         assert code == 0
         assert json.loads(out)["class"] == "P_plus_zero"
 
+    def test_table_caps(self, capsys):
+        # each call would run for seconds, not minutes, without the guard
+        for argv, cap in ((("dict-table", "--family", "F", "--n-max", "129"),
+                           f"--n-max over the cap: degree {cli.MAX_DEGREE}"),
+                          (("rect-scan", "--p-min", "129", "--p-max", "129"),
+                           f"--p-max over the cap: {cli.MAX_PIECES} pieces")):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert cap in err
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "moments", "/nonexistent/f.json")
         assert code == 2
@@ -228,14 +238,28 @@ class TestSymmetryCheck:
         # descriptors of the halves are well-formed
         assert set(d["f_s"]) == {"breakpoints", "pieces"}
 
-    def test_no_centering_fails_min_bound(self, capsys, cubic_file):
+    def test_origin_axis_fails_min_bound(self, capsys, cubic_file):
         code, out, _ = run(capsys, "symmetry-check", cubic_file,
-                           "--axis", "origin", "--no-centering",
-                           "--class-tol", "1e-9")
+                           "--axis", "origin", "--class-tol", "1e-9")
         assert code == 0
         d = json.loads(out)
         assert d["bound"]["centered"] is False
         assert d["bound"]["min_ok"] is False
+
+    @pytest.mark.parametrize("axis", ["origin", "barycenter"])
+    def test_one_split_per_call(self, capsys, cubic_file, axis):
+        code, out, _ = run(capsys, "symmetry-check", cubic_file,
+                           "--axis", axis, "--class-tol", "1e-9")
+        assert code == 0
+        d = json.loads(out)
+        assert d["axis_value"] == d["bound"]["axis"]
+        assert d["w"] == d["bound"]["w"]
+
+    def test_no_centering_is_gone(self, capsys, cubic_file):
+        code, out, err = run(capsys, "symmetry-check", cubic_file,
+                             "--no-centering", "--class-tol", "1e-9")
+        assert (code, out) == (2, "")
+        assert "--no-centering" in err
 
     def test_class_gate_maps_to_usage_error(self, capsys, cubic_file):
         code, _, err = run(capsys, "symmetry-check", cubic_file)

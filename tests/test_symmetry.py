@@ -1,3 +1,4 @@
+import dataclasses
 import decimal
 import hashlib
 import json
@@ -13,6 +14,7 @@ from pwuncert.moments import ZeroFunctionError, norm_sq, report, uncertainty
 from pwuncert.piecewise import FunctionClass, PiecewisePoly, tent
 from pwuncert.poly import Polynomial
 from pwuncert.symmetry import (
+    BoundReport,
     ClassViolationError,
     asymmetric_cubic,
     corollary_normalize,
@@ -79,6 +81,27 @@ class TestEvenOddSplit:
         assert rep.u_even_norm_sq + rep.u_odd_norm_sq == total
 
 
+def _translated_bound_check(f: PiecewisePoly) -> BoundReport:
+    """The centered check built the long way: translate f so that its
+    barycenter sits at 0, then split the copy about the origin."""
+    axis = report(f, classify=False).alpha
+    g = f.translate(-axis)
+    pair = reflections(g, "origin")
+    rep, rs, rd = (report(h, classify=False) for h in (g, pair.f_s, pair.f_d))
+    w, u, u_s, u_d = pair.w, rep.uncertainty, rs.uncertainty, rd.uncertainty
+    gap = u - w * w * u_d - (1 - w) ** 2 * u_s
+    return BoundReport(
+        centered=True, axis=axis, w=w, uncertainty=u,
+        uncertainty_s=u_s, uncertainty_d=u_d,
+        cs_rhs=(float(w) * math.sqrt(u_d) + float(1 - w) * math.sqrt(u_s)) ** 2,
+        cs_ok=gap >= 0 and gap * gap >= 4 * w * w * (1 - w) ** 2 * u_d * u_s,
+        min_ok=u >= min(u_s, u_d),
+        decompositions_ok=all(
+            getattr(rep, k) == w * getattr(rd, k) + (1 - w) * getattr(rs, k)
+            for k in ("sigma_x2", "sigma_w2")),
+    )
+
+
 class TestBoundCheck:
     def test_centered_cubic_passes(self, cubic):
         rep = theorem_bound_check(cubic, class_tol=CUBIC_TOL)
@@ -107,6 +130,17 @@ class TestBoundCheck:
         # so the Cauchy-Schwarz bound holds with equality (gap^2 and
         # 4 w^2 (1-w)^2 U_d U_s are both U^2/4): only an exact test passes it
         assert rep.cs_ok and rep.ok
+
+    @given(seed=st.integers(0, 2**32 - 1),
+           shift=st.fractions(-10, 10, max_denominator=12))
+    @settings(max_examples=25, deadline=None)
+    def test_matches_the_translated_construction(self, seed, shift):
+        f = random_f_plus_zero(random.Random(seed))
+        rep = theorem_bound_check(f)
+        assert vars(rep) == vars(_translated_bound_check(f))  # cs_rhs bit for bit
+        moved = theorem_bound_check(f.translate(shift))
+        assert moved.axis == rep.axis + shift
+        assert dataclasses.replace(moved, axis=rep.axis) == rep
 
 
 def _decimal_bound(rep) -> tuple[bool, decimal.Decimal]:
