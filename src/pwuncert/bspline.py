@@ -9,7 +9,10 @@ Two constructions that share no change-of-variable kernel must agree exactly:
   on piece j, [j - p/2, j + 1 - p/2);
 * `rect_p_recursive`: the sliding-window integral
       rect^p(x) = int_{x-1/2}^{x+1/2} rect^(p-1)(s) ds,
-  the running antiderivative of rect^(p-1)(x + 1/2) - rect^(p-1)(x - 1/2).
+  the running antiderivative of rect^(p-1)(x + 1/2) - rect^(p-1)(x - 1/2),
+  also kept on integers: the half steps are `poly.shift_one` Taylor shifts
+  in y = 2x.  The window shares that kernel with `poly`, never with the
+  explicit formula, which takes no shift and no `compose_affine`.
 
 With u_p = int x^2 |rect^p|^2 / int |rect^p|^2 and nu_p = ||(rect^p)'||^2 /
 ||rect^p||^2 (the frequency variance of the sinc^p transform), the product
@@ -19,15 +22,14 @@ U(2) = 3/10, U(3) = 215/847 exactly.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .moments import ExtReal, report
 from .piecewise import PiecewisePoly
-from .poly import Polynomial
-
-HALF = Fraction(1, 2)
+from .poly import Polynomial, shift_one
 
 
 @lru_cache(maxsize=None)
@@ -54,15 +56,50 @@ def rect_p_explicit(p: int) -> PiecewisePoly:
 def _window_integral(f: PiecewisePoly) -> PiecewisePoly:
     """g(x) = int_{x-1/2}^{x+1/2} f(s) ds for compactly supported f: g
     vanishes left of lo - 1/2 and g' = f(x + 1/2) - f(x - 1/2), so g is the
-    running antiderivative of that difference, piece by piece."""
-    value = Fraction(0)
-    anti = []
-    diff = f.translate(-HALF) - f.translate(HALF)
-    for a, b, piece in diff.intervals():
-        ap = piece.antiderivative()
-        anti.append(ap + Polynomial.of([value - ap(a)]))
-        value += ap(b) - ap(a)
-    return PiecewisePoly.from_pieces(diff.breakpoints, anti)
+    running antiderivative of that difference over the cuts b +- 1/2.
+
+    All on integers, in y = 2x, where a half step is a unit step.  With f's
+    pieces over one denominator D and n = degree + 1 coefficients,
+    Q_i(y) = 2^(n-1) D f_i(y/2) is an integer polynomial and
+    f_i(x +- 1/2) = Q_i(y +- 1) / (2^(n-1) D), one `shift_one` each (the
+    minus shift between two sign flips of the odd coefficients).  On each
+    cut interval the difference h integrates to G(2x) / (2^n D L),
+    L = lcm(1..n), where G has the integer L h_k / (k+1) at y^(k+1).  The
+    constant follows by continuity: at the cuts y = N / E (E the common
+    denominator) the running value of g is the integer W = g 2^n D L E^n.
+    """
+    cleared = [p.cleared for p in f.pieces]
+    n = max(len(ints) for ints, _ in cleared) or 1
+    den = math.lcm(*(q for _, q in cleared))
+    flip = lambda b: [-c if k & 1 else c for k, c in enumerate(b)]
+    qs = [[c * (den // q) << (n - 1 - k) for k, c in enumerate(ints)]
+          + [0] * (n - len(ints)) for ints, q in cleared]
+    pad = [[0] * n]
+    plus = pad + [shift_one(list(b)) for b in qs] + pad
+    minus = pad + [flip(shift_one(flip(b))) for b in qs] + pad
+    knots = [2 * b for b in f.breakpoints]
+    cuts = sorted({b + s for b in knots for s in (-1, 1)})
+    e = math.lcm(*(y.denominator for y in cuts))
+    big_l = math.lcm(*range(1, n + 1))
+    lk = [big_l // k for k in range(1, n + 1)]
+    dens = [big_l * den << (n - m) for m in range(n + 1)]  # of x^m in g
+    dens[0] *= e**n
+
+    def at(g: list[int], y: Fraction) -> int:  # E^n G(y), homogenised Horner
+        num, acc, ej = y.numerator * (e // y.denominator), 0, 1
+        for c in reversed(g):
+            acc = acc * num + c * ej
+            ej *= e
+        return acc * num
+
+    w, pieces = 0, []
+    for lo, hi in zip(cuts, cuts[1:]):
+        a, b = plus[bisect_right(knots, lo + 1)], minus[bisect_right(knots, lo - 1)]
+        g = [(x - y) * l for x, y, l in zip(a, b, lk)]  # G's coefficients at y^1..y^n
+        g_lo = at(g, lo)
+        pieces.append(Polynomial.of(map(Fraction, [w - g_lo, *g], dens)))
+        w += at(g, hi) - g_lo
+    return PiecewisePoly.from_pieces([y / 2 for y in cuts], pieces)
 
 
 @lru_cache(maxsize=None)

@@ -35,8 +35,8 @@ from .bspline import rect_scan
 from .dictionaries import dict_table
 from .moments import AtomParams, atom_report, ext_str, json_float, json_pairs
 from .piecewise import PiecewisePoly
-from .poly import rat, rat_str
-from .symmetry import reflections, theorem_bound_check
+from .poly import MAX_DECIMAL_EXPONENT, Polynomial, rat, rat_str
+from .symmetry import theorem_bound_check
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -45,11 +45,29 @@ EXIT_USAGE = 2
 # Caps above every function built here: rect^64 has 64 pieces, envelopes degree 100.
 MAX_PIECES = 128
 MAX_DEGREE = 128
+# An exact result is printed, and CPython prints no integer of more than
+# MAX_DECIMAL_EXPONENT (4300) digits.  Moments square each piece's cleared
+# integers, which doubles their digits, so a piece cleared to integers of
+# more than half that many digits is refused before any moment is computed.
+MAX_CLEARED_DIGITS = MAX_DECIMAL_EXPONENT // 2
 
 
 class InputError(ValueError):
     """Unusable input: unreadable file, malformed descriptor, bad rational or
     option value."""
+
+
+def _parsed_piece(piece):
+    """One descriptor piece's coefficients as Fractions, refused as soon as
+    its cleared integers pass MAX_CLEARED_DIGITS digits; a piece that is
+    not a list is left to the descriptor's own shape check."""
+    if not isinstance(piece, list):
+        return piece
+    poly = Polynomial.of(piece)
+    ints, den = poly.cleared
+    if max([den, *map(abs, ints)]) >= 10 ** MAX_CLEARED_DIGITS:
+        raise ValueError(f"a piece clears to integers of over {MAX_CLEARED_DIGITS} digits")
+    return list(poly.coeffs)
 
 
 def _load_function(path: str) -> PiecewisePoly:
@@ -67,6 +85,8 @@ def _load_function(path: str) -> PiecewisePoly:
         if isinstance(pieces, list) and (len(pieces) > MAX_PIECES or any(
                 isinstance(p, list) and len(p) > MAX_DEGREE + 1 for p in pieces)):
             raise ValueError(f"over the caps: {MAX_PIECES} pieces, degree {MAX_DEGREE}")
+        if isinstance(pieces, list):
+            obj["pieces"] = [_parsed_piece(p) for p in pieces]
         return PiecewisePoly.from_json_dict(obj)
     except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
         raise InputError(f"bad function descriptor in {path!r}: {exc}") from exc
@@ -143,7 +163,9 @@ def _cmd_rect_scan(args: argparse.Namespace) -> int:
 
 def _cmd_symmetry_check(args: argparse.Namespace) -> int:
     f = _load_function(args.input)
-    pair = reflections(f, args.axis)
+    bound = theorem_bound_check(f, center=args.axis == "barycenter",
+                                class_tol=args.class_tol)
+    pair = bound.pair
     payload = {
         "axis": args.axis,
         "axis_value": rat_str(pair.axis),
@@ -151,19 +173,17 @@ def _cmd_symmetry_check(args: argparse.Namespace) -> int:
         **json_pairs(w=pair.w),
         "f_s": pair.f_s.to_json_dict(),
         "f_d": pair.f_d.to_json_dict(),
-    }
-    bound = theorem_bound_check(f, center=args.axis == "barycenter",
-                                class_tol=args.class_tol)
-    payload["bound"] = {
-        "centered": bound.centered,
-        **json_pairs(axis=bound.axis, w=bound.w, uncertainty=bound.uncertainty,
-                     uncertainty_s=bound.uncertainty_s,
-                     uncertainty_d=bound.uncertainty_d),
-        "cs_rhs": bound.cs_rhs,
-        "cs_ok": bound.cs_ok,
-        "min_ok": bound.min_ok,
-        "decompositions_ok": bound.decompositions_ok,
-        "ok": bound.ok,
+        "bound": {
+            "centered": bound.centered,
+            **json_pairs(axis=pair.axis, w=pair.w, uncertainty=bound.uncertainty,
+                         uncertainty_s=bound.uncertainty_s,
+                         uncertainty_d=bound.uncertainty_d),
+            "cs_rhs": bound.cs_rhs,
+            "cs_ok": bound.cs_ok,
+            "min_ok": bound.min_ok,
+            "decompositions_ok": bound.decompositions_ok,
+            "ok": bound.ok,
+        },
     }
     _emit_json(payload)
     return EXIT_OK

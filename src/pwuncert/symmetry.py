@@ -134,12 +134,12 @@ class BoundReport:
     uncentered run can document a failing bound without raising.
     ``cs_ok`` is decided on exact rationals; ``cs_rhs``, the weighted
     Cauchy-Schwarz right-hand side ``(w*sqrt(U_d) + (1-w)*sqrt(U_s))**2`` in
-    double precision, is for display only.
+    double precision, is for display only.  ``pair`` is the split the
+    verdicts rest on, so a caller that also needs the halves reads them here.
     """
 
     centered: bool
-    axis: Fraction
-    w: Fraction
+    pair: ReflectionPair
     uncertainty: ExtReal
     uncertainty_s: ExtReal
     uncertainty_d: ExtReal
@@ -147,6 +147,14 @@ class BoundReport:
     cs_ok: bool
     min_ok: bool
     decompositions_ok: bool
+
+    @property
+    def axis(self) -> Fraction:
+        return self.pair.axis
+
+    @property
+    def w(self) -> Fraction:
+        return self.pair.w
 
     @property
     def ok(self) -> bool:
@@ -214,8 +222,7 @@ def theorem_bound_check(f: PiecewisePoly, *, center: bool = True,
 
     return BoundReport(
         centered=center,
-        axis=pair.axis,
-        w=w,
+        pair=pair,
         uncertainty=rep.uncertainty,
         uncertainty_s=u_s,
         uncertainty_d=u_d,

@@ -38,7 +38,6 @@ from .symmetry import (
     asymmetric_cubic,
     even_odd_split,
     random_f_plus_zero,
-    reflections,
     theorem_bound_check,
 )
 
@@ -214,7 +213,7 @@ def check_cubic_reflections() -> list[CheckResult]:
     out.append(_close("origin-axis U[f_d]", 1.064558791510,
                       float(origin.uncertainty_d), 1e-8))
 
-    bary = reflections(f, "barycenter")
+    bary = centered.pair
     clipped = _window_product(bary.f_s, bary.axis, Fraction(-1), Fraction(1))
     out.append(_close("barycentric U[f_s] (window convention)",
                       0.233608189515, float(clipped), 1e-8))
@@ -267,7 +266,7 @@ def check_properties() -> list[CheckResult]:
         gam = _random_nonzero(rng, -6, 6)
         tau = Fraction(rng.randint(-12, 12), rng.randint(1, 4))
         bound = theorem_bound_check(f)
-        pair = reflections(f)
+        pair = bound.pair
         for name, ok in (
             ("U invariant under affine maps and scaling (exact)",
              uncertainty(f.affine(lam, gam, tau)) == u and uncertainty(f * 3) == u),

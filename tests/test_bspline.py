@@ -6,7 +6,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pwuncert.bspline import (
-    HALF,
     _window_integral,
     limit_check,
     rect_p_explicit,
@@ -18,17 +17,19 @@ from pwuncert.moments import report
 from pwuncert.piecewise import PiecewisePoly, tent
 from pwuncert.poly import Polynomial
 
+HALF = Fraction(1, 2)
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 
 
 @st.composite
 def piecewise_functions(draw):
-    """Small random piecewise polynomials (possibly discontinuous or negative)."""
+    """Small random piecewise polynomials of degree <= 4 (possibly
+    discontinuous or negative)."""
     n_pieces = draw(st.integers(1, 3))
     bps = sorted(draw(st.sets(rationals, min_size=n_pieces + 1,
                               max_size=n_pieces + 1)))
     pieces = [
-        Polynomial.of(draw(st.lists(rationals, max_size=3)))
+        Polynomial.of(draw(st.lists(rationals, max_size=5)))
         for _ in range(n_pieces)
     ]
     return PiecewisePoly.from_pieces(bps, pieces)
@@ -52,6 +53,19 @@ def reference_explicit(p):
     return PiecewisePoly.from_pieces(knots, pieces)
 
 
+def reference_window(f):
+    """The sliding window by PiecewisePoly algebra: the running
+    antiderivative of f(x + 1/2) - f(x - 1/2), piece by piece."""
+    value = Fraction(0)
+    anti = []
+    diff = f.translate(-HALF) - f.translate(HALF)
+    for a, b, piece in diff.intervals():
+        ap = piece.antiderivative()
+        anti.append(ap + Polynomial.of([value - ap(a)]))
+        value += ap(b) - ap(a)
+    return PiecewisePoly.from_pieces(diff.breakpoints, anti)
+
+
 class TestConstruction:
     def test_rect_1_is_the_unit_boxcar(self):
         f = rect_p_explicit(1)
@@ -62,7 +76,7 @@ class TestConstruction:
     def test_rect_2_is_the_tent(self):
         assert rect_p_explicit(2) == tent()
 
-    @pytest.mark.parametrize("p", range(1, 11))
+    @pytest.mark.parametrize("p", [*range(1, 11), 64])
     def test_explicit_equals_recursive(self, p):
         assert rect_p_explicit(p) == rect_p_recursive(p)
 
@@ -98,6 +112,12 @@ class TestConstruction:
 
 
 class TestWindow:
+    @example(PiecewisePoly.zero())
+    @given(piecewise_functions())
+    @settings(max_examples=50, deadline=None)
+    def test_window_integral_matches_algebra_reference(self, f):
+        assert _window_integral(f) == reference_window(f)
+
     @given(piecewise_functions(), rationals)
     @settings(max_examples=60, deadline=None)
     def test_window_integral_matches_restricted_mass(self, f, x):

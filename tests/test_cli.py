@@ -1,5 +1,6 @@
 import io
 import json
+import time
 
 import pytest
 
@@ -103,6 +104,24 @@ class TestErrorPaths:
         code, out, _ = run(capsys, "moments", str(path))
         assert code == 0
         assert json.loads(out)["class"] == "P_plus_zero"
+
+    def test_cleared_digit_cap(self, capsys, tmp_path):
+        # distinct pieces of degree 128 with coefficients 1e4300 and 1e-4300
+        # clear to 8,601-digit integers; unguarded, squaring them runs for
+        # minutes before the result fails to print
+        path = tmp_path / "wide.json"
+        n, d = cli.MAX_PIECES, cli.MAX_DEGREE
+        pieces = [["1e4300", "1e-4300"] * (d // 2) + [str(i + 1)] for i in range(n)]
+        path.write_text(json.dumps({"breakpoints": [str(b) for b in range(n + 1)],
+                                    "pieces": pieces}))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "moments", str(path))
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert f"over {cli.MAX_CLEARED_DIGITS} digits" in err
+        # the largest function built here, rect^64, loads under the cap
+        path.write_text(json.dumps(rect_p_explicit(64).to_json_dict()))
+        assert cli._load_function(str(path)) == rect_p_explicit(64)
 
     def test_table_caps(self, capsys):
         # each call would run for seconds, not minutes, without the guard

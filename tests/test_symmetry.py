@@ -16,6 +16,7 @@ from pwuncert.poly import Polynomial
 from pwuncert.symmetry import (
     BoundReport,
     ClassViolationError,
+    ReflectionPair,
     asymmetric_cubic,
     corollary_normalize,
     even_odd_split,
@@ -83,7 +84,8 @@ class TestEvenOddSplit:
 
 def _translated_bound_check(f: PiecewisePoly) -> BoundReport:
     """The centered check built the long way: translate f so that its
-    barycenter sits at 0, then split the copy about the origin."""
+    barycenter sits at 0, split the copy about the origin, and move the
+    halves back."""
     axis = report(f, classify=False).alpha
     g = f.translate(-axis)
     pair = reflections(g, "origin")
@@ -91,7 +93,9 @@ def _translated_bound_check(f: PiecewisePoly) -> BoundReport:
     w, u, u_s, u_d = pair.w, rep.uncertainty, rs.uncertainty, rd.uncertainty
     gap = u - w * w * u_d - (1 - w) ** 2 * u_s
     return BoundReport(
-        centered=True, axis=axis, w=w, uncertainty=u,
+        centered=True, uncertainty=u,
+        pair=ReflectionPair(pair.f_s.translate(axis), pair.f_d.translate(axis),
+                            axis, w),
         uncertainty_s=u_s, uncertainty_d=u_d,
         cs_rhs=(float(w) * math.sqrt(u_d) + float(1 - w) * math.sqrt(u_s)) ** 2,
         cs_ok=gap >= 0 and gap * gap >= 4 * w * w * (1 - w) ** 2 * u_d * u_s,
@@ -139,8 +143,10 @@ class TestBoundCheck:
         rep = theorem_bound_check(f)
         assert vars(rep) == vars(_translated_bound_check(f))  # cs_rhs bit for bit
         moved = theorem_bound_check(f.translate(shift))
-        assert moved.axis == rep.axis + shift
-        assert dataclasses.replace(moved, axis=rep.axis) == rep
+        assert moved.pair == ReflectionPair(
+            *(h.translate(shift) for h in (rep.pair.f_s, rep.pair.f_d)),
+            rep.axis + shift, rep.w)
+        assert dataclasses.replace(moved, pair=rep.pair) == rep
 
 
 def _decimal_bound(rep) -> tuple[bool, decimal.Decimal]:

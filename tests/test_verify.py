@@ -6,21 +6,27 @@ import random
 
 import pytest
 
-from pwuncert import verify
+from pwuncert import symmetry, verify
 from pwuncert.dictionaries import DictionaryId, row
-from pwuncert.symmetry import random_f_plus_zero, theorem_bound_check
+from pwuncert.symmetry import random_f_plus_zero, reflections, theorem_bound_check
 
 
 def test_properties_make_one_bound_check_per_case(monkeypatch):
-    calls = []
+    calls, splits = [], []
 
     def counting(f, **kwargs):
         calls.append(f)
         return theorem_bound_check(f, **kwargs)
 
+    def splitting(f, axis):
+        splits.append(f)
+        return reflections(f, axis)
+
     monkeypatch.setattr(verify, "theorem_bound_check", counting)
+    monkeypatch.setattr(symmetry, "reflections", splitting)
     assert all(r.ok for r in verify.check_properties())
     assert len(calls) == verify.PROPERTY_CASES
+    assert splits == calls  # the halves come from the bound check's split
 
 
 def test_minimizer_asymptotes_read_pipeline_rows(monkeypatch):
